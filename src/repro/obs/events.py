@@ -239,7 +239,7 @@ class IntervalAccount(Event):
     """Accounting snapshot of one closed usage interval.
 
     The metered values are exactly the engine's vectorized per-interval
-    accounting (``Engine._interval_values``): carbon from the true
+    accounting (``Engine.account``): carbon from the true
     trace, energy from the cluster energy model, cost at the option's
     hourly rate (0 for reserved).  Boot-overhead surcharges are per-job,
     not per-interval, and appear only in ``JobRecord``.

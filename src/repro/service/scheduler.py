@@ -28,6 +28,9 @@ the simulation's determinism guarantee forbids unwinding it.
 from __future__ import annotations
 
 import asyncio
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -45,7 +48,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.service.config import ServiceConfig
 from repro.simulator.results import SimulationResult
-from repro.units import MINUTES_PER_HOUR
 from repro.workload.job import Job
 
 __all__ = ["AdmissionError", "JobView", "SchedulerService"]
@@ -103,6 +105,86 @@ class _Command:
 _STOP = object()
 
 
+def _finish_order(run: Any) -> tuple[int, int]:
+    return run.finish, run.job.job_id
+
+
+class _Ledger:
+    """Finished jobs in ``(finish, job_id)`` order, each valued once.
+
+    :meth:`fold` values only the runs the session finished since the
+    previous fold, with the engine's own accounting kernel
+    (:meth:`Engine.account`), and adds them to running totals.  Storage
+    is columnar -- run states plus packed finish, carbon, energy and
+    cost columns -- so a read builds row dicts only for its page.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[Any] = []
+        self.finish = array("q")
+        self.carbon_g = array("d")
+        self.energy_kwh = array("d")
+        self.cost_usd = array("d")
+        self.folded = 0  # prefix of the session's finished list seen so far
+        self.totals = dict.fromkeys(
+            ("jobs", "carbon_g", "energy_kwh", "cost_usd", "waiting_minutes"), 0.0
+        )
+
+    def fold(self, engine: Any, finished: Sequence[Any]) -> None:
+        batch = finished[self.folded :]
+        if not batch:
+            return
+        self.folded += len(batch)
+        _, run_totals = engine.account(batch)
+        entries = sorted(zip(batch, run_totals), key=lambda entry: _finish_order(entry[0]))
+        totals = self.totals
+        for run, (carbon_g, energy_kwh, cost_usd, _) in entries:
+            totals["jobs"] += 1
+            totals["carbon_g"] += carbon_g
+            totals["energy_kwh"] += energy_kwh
+            totals["cost_usd"] += cost_usd
+            totals["waiting_minutes"] += run.finish - run.job.arrival - run.job.length
+        columns = (self.finish, self.carbon_g, self.energy_kwh, self.cost_usd)
+        if self.runs and _finish_order(entries[0][0]) < _finish_order(self.runs[-1]):
+            # The batch sorts before the tail (a finish at an already
+            # read minute): merge it in and rebuild the columns.
+            kept = zip(self.runs, zip(self.carbon_g, self.energy_kwh, self.cost_usd))
+            entries = sorted([*kept, *entries], key=lambda entry: _finish_order(entry[0]))
+            self.runs.clear()
+            for column in columns:
+                del column[:]
+        self.runs.extend(run for run, _ in entries)
+        self.finish.extend(run.finish for run, _ in entries)
+        for position, column in enumerate(columns[1:]):
+            column.extend(values[position] for _, values in entries)
+
+    def select(self, queue: str | None, since: int | None) -> Sequence[int]:
+        """Ledger positions of the rows matching the filters, in order."""
+        start = bisect_left(self.finish, since) if since is not None else 0
+        positions = range(start, len(self.runs))
+        if queue is None:
+            return positions
+        runs = self.runs
+        return [index for index in positions if runs[index].job.queue == queue]
+
+    def row(self, index: int, detail: bool) -> dict[str, Any]:
+        run = self.runs[index]
+        job = run.job
+        row: dict[str, Any] = {
+            "job_id": job.job_id,
+            "queue": job.queue,
+            "arrival": job.arrival,
+            "finish": run.finish,
+            "waiting_minutes": run.finish - job.arrival - job.length,
+        }
+        if detail:
+            row["carbon_g"] = self.carbon_g[index]
+            row["energy_kwh"] = self.energy_kwh[index]
+            row["cost_usd"] = self.cost_usd[index]
+            row["evictions"] = run.evictions
+        return row
+
+
 class SchedulerService:
     """One always-on scheduler over one engine session.
 
@@ -129,6 +211,7 @@ class SchedulerService:
         self._rejected = 0
         self._cancelled = 0
         self._result: SimulationResult | None = None
+        self._ledger = _Ledger()
         self.state = "created"
 
     # ------------------------------------------------------------------
@@ -548,58 +631,20 @@ class SchedulerService:
                 payload["waiting_minutes"] = run.finish - job.arrival - job.length
         return payload
 
-    def _live_accounting(self) -> tuple[list[dict[str, Any]], dict[str, float]]:
-        """Per-job accounting over finished runs, engine formulas.
+    def _totals(self) -> dict[str, float]:
+        """Fold newly finished jobs into the ledger; return the totals.
 
-        Uses the same ``integrate_many * active_kw_many`` expressions as
-        the engine's final accounting (the service engine has no boot
-        overhead, so per-interval sums are the whole story); values for
-        a finished job equal its eventual :class:`JobRecord` fields.
+        After drain the carbon, energy and cost totals are the
+        authoritative result's (summed in record order).
         """
-        engine = self._engine
-        assert engine is not None
-        finished = [
-            view for view in self._views.values()
-            if view.run is not None and view.run.finished
-        ]
-        rows: list[dict[str, Any]] = []
-        totals = {
-            "jobs": 0.0, "carbon_g": 0.0, "energy_kwh": 0.0,
-            "cost_usd": 0.0, "waiting_minutes": 0.0,
-        }
-        for view in finished:
-            run = view.run
-            carbon_g = 0.0
-            energy_kwh = 0.0
-            cost_usd = 0.0
-            for interval in run.usage:
-                duration = interval.end - interval.start
-                kw = engine.energy.active_kw(interval.cpus)
-                carbon_g += engine.carbon.integrate(interval.start, interval.end) * kw
-                energy_kwh += kw * duration / MINUTES_PER_HOUR
-                cost_usd += engine.pricing.usage_cost(
-                    interval.option, duration * interval.cpus
-                )
-            waiting = run.finish - view.job.arrival - view.job.length
-            rows.append(
-                {
-                    "job_id": view.job.job_id,
-                    "queue": view.job.queue,
-                    "arrival": view.job.arrival,
-                    "finish": run.finish,
-                    "waiting_minutes": waiting,
-                    "carbon_g": carbon_g,
-                    "energy_kwh": energy_kwh,
-                    "cost_usd": cost_usd,
-                    "evictions": run.evictions,
-                }
-            )
-            totals["jobs"] += 1
-            totals["carbon_g"] += carbon_g
-            totals["energy_kwh"] += energy_kwh
-            totals["cost_usd"] += cost_usd
-            totals["waiting_minutes"] += waiting
-        return rows, totals
+        if self._session is not None:
+            self._ledger.fold(self._engine, self._session.finished)
+        totals = dict(self._ledger.totals)
+        if self._result is not None:
+            totals["carbon_g"] = self._result.total_carbon_g
+            totals["energy_kwh"] = self._result.total_energy_kwh
+            totals["cost_usd"] = self._result.metered_cost
+        return totals
 
     def accounting(
         self,
@@ -608,54 +653,23 @@ class SchedulerService:
         limit: int = 100,
         detail: bool = False,
     ) -> dict[str, Any]:
-        """Read-only accounting over finished jobs.
+        """Read-only accounting over finished jobs, in (finish, job_id) order.
 
-        Before drain: live values computed from closed usage intervals
-        with the engine's own formulas.  After drain: the authoritative
-        result records, plus the accounting ``digest``.  Filters:
-        ``queue`` (exact name), ``since`` (finish minute >= since),
-        ``limit`` rows; ``detail`` adds the carbon/energy/cost columns.
+        Rows come from the ledger, whose values equal the finished jobs'
+        :class:`JobRecord` fields bit for bit, before drain and after;
+        after drain the payload also carries the accounting ``digest``.
+        Filters: ``queue`` (exact name), ``since`` (finish minute >=
+        since), ``limit`` rows; ``detail`` adds the carbon/energy/cost
+        columns.
         """
-        if self._result is not None:
-            rows = [
-                {
-                    "job_id": record.job_id,
-                    "queue": record.queue,
-                    "arrival": record.arrival,
-                    "finish": record.finish,
-                    "waiting_minutes": record.waiting_time,
-                    "carbon_g": record.carbon_g,
-                    "energy_kwh": record.energy_kwh,
-                    "cost_usd": record.usage_cost,
-                    "evictions": record.evictions,
-                }
-                for record in self._result.records
-            ]
-            totals = {
-                "jobs": float(len(rows)),
-                "carbon_g": self._result.total_carbon_g,
-                "energy_kwh": self._result.total_energy_kwh,
-                "cost_usd": self._result.metered_cost,
-                "waiting_minutes": float(
-                    sum(row["waiting_minutes"] for row in rows)
-                ),
-            }
-        else:
-            rows, totals = self._live_accounting()
-        if queue is not None:
-            rows = [row for row in rows if row["queue"] == queue]
-        if since is not None:
-            rows = [row for row in rows if row["finish"] >= since]
-        rows.sort(key=lambda row: (row["finish"], row["job_id"]))
-        if not detail:
-            keep = ("job_id", "queue", "arrival", "finish", "waiting_minutes")
-            rows = [{key: row[key] for key in keep} for row in rows]
+        totals = self._totals()
+        selected = self._ledger.select(queue, since)
         payload: dict[str, Any] = {
             "drained": self._result is not None,
             "now": self._now(),
             "totals": totals,
-            "total_rows": len(rows),
-            "jobs": rows[:limit],
+            "total_rows": len(selected),
+            "jobs": [self._ledger.row(index, detail) for index in selected[:limit]],
         }
         if self._result is not None:
             payload["digest"] = self._result.digest()
@@ -679,19 +693,7 @@ class SchedulerService:
             "service.pending_events",
             float(session.pending_events) if session is not None else 0.0,
         )
-        _, totals = (
-            ([], {
-                "jobs": float(len(self._result.records)),
-                "carbon_g": self._result.total_carbon_g,
-                "energy_kwh": self._result.total_energy_kwh,
-                "cost_usd": self._result.metered_cost,
-                "waiting_minutes": float(
-                    sum(r.waiting_time for r in self._result.records)
-                ),
-            })
-            if self._result is not None
-            else self._live_accounting()
-        )
+        totals = self._totals()
         registry.gauge("service.carbon_g", totals["carbon_g"])
         registry.gauge("service.energy_kwh", totals["energy_kwh"])
         registry.gauge("service.cost_usd", totals["cost_usd"])

@@ -7,7 +7,7 @@ memoization, no vectorized accounting.  It shares only the *interfaces*
 with the optimized engine -- policies (:mod:`repro.policies`), traces
 (:mod:`repro.carbon.trace`, :mod:`repro.workload.trace`), and the
 cluster models (pricing, energy, eviction, checkpointing) -- so a bug in
-the optimized engine's batched kernels (:meth:`Engine._interval_values`)
+the optimized engine's batched kernels (:meth:`Engine.account`)
 or event plumbing cannot hide in a shared helper.
 
 The two engines must agree on every integer scheduling outcome exactly

@@ -105,6 +105,15 @@ class EngineSession:
         """Engine-internal run states, one per submitted job (read-only)."""
         return self._engine._runs
 
+    @property
+    def finished(self) -> "Sequence[_RunState]":
+        """Run states in the order the event loop finished them (read-only).
+
+        Append-only: a reader that remembers its position folds only the
+        jobs finished since its previous read.
+        """
+        return self._engine._finished
+
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------

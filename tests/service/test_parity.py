@@ -130,5 +130,6 @@ class TestHttpEndToEndParity:
         for row in accounting["jobs"]:
             record = by_id[row["job_id"]]
             assert row["finish"] == record.finish
-            assert row["carbon_g"] == pytest.approx(record.carbon_g)
-            assert row["cost_usd"] == pytest.approx(record.usage_cost)
+            assert row["carbon_g"] == record.carbon_g
+            assert row["energy_kwh"] == record.energy_kwh
+            assert row["cost_usd"] == record.usage_cost

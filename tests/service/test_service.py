@@ -245,28 +245,68 @@ class TestCancel:
         assert run(scenario()) == ("unknown_job", 404)
 
 
+def _assert_live_rows_equal_records(overrides: dict) -> list:
+    """Read live accounting after every job finished, drain, compare exactly."""
+
+    async def scenario():
+        service = await _started(_config(**overrides))
+        try:
+            for job_id in range(12):
+                await service.submit(length=90, arrival=job_id * 20, job_id=job_id)
+            await service.advance_to(service.config.horizon_minutes)
+            live = service.accounting(detail=True)
+            drained = await service.drain()
+            final = service.accounting(detail=True)
+            return live, drained, final, service.result
+        finally:
+            await service.stop()
+
+    live, drained, final, result = run(scenario())
+    assert live["drained"] is False and final["drained"] is True
+    assert live["total_rows"] == final["total_rows"] == drained["jobs"] == 12
+    assert live["jobs"] == final["jobs"]
+    records = {record.job_id: record for record in result.records}
+    for row in live["jobs"]:
+        record = records[row["job_id"]]
+        assert row["finish"] == record.finish
+        assert row["carbon_g"] == record.carbon_g
+        assert row["energy_kwh"] == record.energy_kwh
+        assert row["cost_usd"] == record.usage_cost
+        assert row["evictions"] == record.evictions
+    return result.records
+
+
 class TestLiveReads:
     def test_live_accounting_matches_the_drained_records(self):
+        _assert_live_rows_equal_records({})
+
+    def test_live_accounting_is_exact_for_evicted_jobs(self):
+        # Spot placements under a high hazard: evicted jobs carry several
+        # usage intervals through the shared per-run fold.
+        records = _assert_live_rows_equal_records(
+            {"policy": "spot-first:carbon-time", "eviction_rate": 0.5, "reserved_cpus": 2}
+        )
+        assert any(len(record.usage) > 1 for record in records)
+
+    def test_metrics_between_reads_changes_neither_payload(self):
         async def scenario():
             service = await _started(_config())
             try:
-                for job_id, arrival in enumerate((0, 30, 60)):
-                    await service.submit(length=120, arrival=arrival, job_id=job_id)
-                await service.advance_to(service.config.horizon_minutes)
-                live = service.accounting(detail=True)
-                drained = await service.drain()
-                final = service.accounting(detail=True)
-                return live, drained, final
+                for job_id in range(6):
+                    await service.submit(length=60, arrival=job_id * 30, job_id=job_id)
+                await service.advance_to(service.config.horizon_minutes // 2)
+                first = service.accounting(detail=True)
+                metrics = service.metrics()
+                second = service.accounting(detail=True)
+                return first, metrics, second, service.metrics()
             finally:
                 await service.stop()
 
-        live, drained, final = run(scenario())
-        assert live["drained"] is False and final["drained"] is True
-        assert live["total_rows"] == final["total_rows"] == drained["jobs"] == 3
-        live_rows = {row["job_id"]: row for row in live["jobs"]}
-        for row in final["jobs"]:
-            for column in ("finish", "carbon_g", "energy_kwh", "cost_usd"):
-                assert live_rows[row["job_id"]][column] == pytest.approx(row[column])
+        first, metrics, second, metrics_again = run(scenario())
+        assert first["total_rows"] > 0
+        assert first == second
+        assert metrics == metrics_again
+        assert metrics["gauges"]["service.carbon_g"] == first["totals"]["carbon_g"]
 
     def test_metrics_track_states_and_totals(self):
         async def scenario():
