@@ -8,8 +8,9 @@ actual usage for every purchase option.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,35 @@ _RECORD_SCALARS = (
     "checkpoint_overhead_minutes",
     "provisioning_cpu_minutes",
 )
+
+
+def _per_records(compute: Callable[[SimulationResult], float]) -> property:
+    """A total over ``records``, computed once per attached records tuple.
+
+    A figure row reads several totals of a result and divides each by its
+    baseline's, so recomputing them walks every record (tens of thousands
+    of scattered objects) about ten times a row.  Records are frozen and
+    a tuple cannot change, so a memoized value stays exact while
+    ``self.records`` is the very tuple it came from; a ``records`` list is
+    never memoized, and :meth:`SimulationResult.__getstate__` drops the
+    memo.
+    """
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def get(self: SimulationResult) -> float:
+        records = self.records
+        memo = self.__dict__.get("_totals")
+        if memo is None or memo[0] is not records:
+            memo = (records, {})
+            if isinstance(records, tuple):
+                self.__dict__["_totals"] = memo
+        values = memo[1]
+        if name not in values:
+            values[name] = compute(self)
+        return values[name]
+
+    return property(get)
 
 
 @dataclass(frozen=True)
@@ -183,6 +213,7 @@ class SimulationResult:
     def __getstate__(self) -> dict:
         base = dict(self.__dict__)
         base["records"] = None
+        base.pop("_totals", None)
         columns = tuple(
             [getattr(record, name) for record in self.records]
             for name in _RECORD_SCALARS
@@ -236,7 +267,7 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # Carbon and energy
     # ------------------------------------------------------------------
-    @property
+    @_per_records
     def total_carbon_g(self) -> float:
         """Emissions of all jobs, in grams of CO2-equivalent."""
         return float(sum(record.carbon_g for record in self.records))
@@ -246,12 +277,12 @@ class SimulationResult:
         """Emissions of all jobs, in kilograms of CO2-equivalent."""
         return grams_to_kg(self.total_carbon_g)
 
-    @property
+    @_per_records
     def baseline_carbon_g(self) -> float:
         """Footprint had every job run on arrival (the NoWait schedule)."""
         return float(sum(record.baseline_carbon_g for record in self.records))
 
-    @property
+    @_per_records
     def total_energy_kwh(self) -> float:
         """Energy drawn by all jobs, in kilowatt-hours."""
         return float(sum(record.energy_kwh for record in self.records))
@@ -264,7 +295,7 @@ class SimulationResult:
         """Upfront payment for the reserved pool over the whole horizon."""
         return self.pricing.reserved_upfront(self.reserved_cpus, self.horizon)
 
-    @property
+    @_per_records
     def metered_cost(self) -> float:
         """Pay-as-you-go cost of on-demand and spot usage."""
         return float(sum(record.usage_cost for record in self.records))
@@ -282,15 +313,19 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # Performance
     # ------------------------------------------------------------------
-    @property
+    @_per_records
     def mean_waiting_minutes(self) -> float:
         """Mean per-job waiting time (delay beyond pure length), minutes.
 
         0 for a zero-job result (never a NaN or a numpy warning).
+        ``JobRecord.waiting_time`` is inlined (the same left-to-right
+        subtraction): two property calls per record dominated this read.
         """
         if not self.records:
             return 0.0
-        return float(np.mean([record.waiting_time for record in self.records]))
+        return float(
+            np.mean([record.finish - record.arrival - record.length for record in self.records])
+        )
 
     @property
     def mean_waiting_hours(self) -> float:

@@ -1,5 +1,8 @@
 """JobRecord / SimulationResult accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cluster.pricing import DEFAULT_PRICING, PricingModel, PurchaseOption
@@ -134,6 +137,44 @@ class TestSimulationResult:
         res = result([record(evictions=2, lost=120.0)])
         assert res.total_evictions == 2
         assert res.lost_cpu_hours == 2.0
+
+
+class TestMemoizedTotals:
+    """Record totals are computed once per attached records tuple."""
+
+    def records(self):
+        return [
+            record(carbon_g=0.1, usage_cost=0.2, first_start=0, finish=60),
+            record(job_id=1, carbon_g=0.2, usage_cost=0.3, first_start=45, finish=105),
+            record(job_id=2, carbon_g=0.3, usage_cost=0.1, first_start=7, finish=67),
+        ]
+
+    def test_values_equal_the_unmemoized_sums(self):
+        res = result(self.records())
+        for _ in range(2):
+            assert res.total_carbon_g == float(sum(r.carbon_g for r in res.records))
+            assert res.metered_cost == float(sum(r.usage_cost for r in res.records))
+            assert res.mean_waiting_minutes == (0 + 45 + 7) / 3
+
+    def test_reassigning_records_recomputes(self):
+        res = result(self.records())
+        before = res.total_carbon_g
+        res.records = res.records[:1]
+        assert res.total_carbon_g == 0.1 != before
+        assert res.mean_waiting_minutes == 0.0
+
+    def test_a_records_list_is_never_memoized(self):
+        res = dataclasses.replace(result(self.records()), records=self.records())
+        assert res.total_carbon_g == pytest.approx(0.6)
+        res.records.append(record(job_id=3, carbon_g=1.0))
+        assert res.total_carbon_g == pytest.approx(1.6)
+
+    def test_the_memo_is_not_pickled(self):
+        res = result(self.records())
+        fresh = pickle.dumps(res)
+        res.summary()
+        assert pickle.dumps(res) == fresh
+        assert pickle.loads(fresh) == res
 
 
 class TestDemandProfile:
