@@ -37,10 +37,14 @@ DIGEST_ENTRY_PATTERNS: list[str] = [
     "*.SimulationSpec.digest",
     # Every policy decision hook, including future registry entries.
     "*.decide",
-    # Batched decision hooks backing the engine's fast path; reached
-    # dynamically from Engine._precompute_decisions, and their scoring
-    # helpers must stay inside the certified set.
+    # Batched decision hooks, reached dynamically from
+    # Engine._precompute_decisions; their scoring helpers must stay
+    # inside the certified set.
     "*.decide_many",
+    # WindowPolicy's per-policy hooks (score sources and selection
+    # rule), reached dynamically from WindowPolicy.decide/decide_many.
+    "*.score_sources",
+    "*.select_candidates",
     # Fault application: folded into spec digests via FaultPlan.digest.
     "*.faults.apply.*",
     # Federated and scaling specs: first-class run_many citizens, so

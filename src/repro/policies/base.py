@@ -163,7 +163,7 @@ class Policy(ABC):
     #: True when :meth:`decide` is a pure function of the (arrival, queue,
     #: cpus, length-estimate) tuple given a fixed context — i.e. the policy
     #: keeps no per-run mutable state.  The engine memoizes decisions for
-    #: stateless policies (see ``Engine`` ``memoize_decisions``).
+    #: stateless policies unless an online length estimator is set.
     stateless: bool = True
 
     @abstractmethod
@@ -172,23 +172,20 @@ class Policy(ABC):
 
     def decide_many(
         self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
-        """Batched :meth:`decide` over many jobs, or ``None`` to opt out.
+    ) -> list[Decision]:
+        """Batched :meth:`decide`: entry ``i`` is ``decide(jobs[i], ctx)``.
 
-        When a policy returns a list, entry ``i`` must equal
-        ``decide(jobs[i], ctx)`` **bit for bit** -- the engine's fast
-        path substitutes batched decisions for scalar ones and the
-        simulation digest must not move.  Returning ``None`` (the
-        default) makes the engine fall back to per-arrival ``decide``
-        calls; implementations must also return ``None`` whenever they
-        cannot guarantee exact equality (e.g. the forecaster has no
-        query-time-independent :meth:`~repro.carbon.forecast.Forecaster.window_view`).
+        The equality is **bit for bit** -- the engine precomputes a
+        run's decisions through this hook and the simulation digest must
+        not move.  The default loops over :meth:`decide`; policies with
+        an array form of their rule override it (the window policies in
+        :mod:`repro.policies.scoring`).
 
-        Batched scoring bypasses ``SchedulingContext.candidate_starts``
-        and therefore emits no per-job ``CandidateWindow`` trace events;
+        Batched scoring may bypass ``SchedulingContext.candidate_starts``
+        and therefore emit no per-job ``CandidateWindow`` trace events;
         the engine only batches when tracing is disabled.
         """
-        return None
+        return [self.decide(job, ctx) for job in jobs]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -30,7 +30,7 @@ class NoWait(Policy):
 
     def decide_many(
         self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
+    ) -> list[Decision]:
         return [Decision(start_time=job.arrival) for job in jobs]
 
 

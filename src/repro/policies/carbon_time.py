@@ -16,88 +16,38 @@ runs now.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import cast
-
 import numpy as np
 
-from repro.policies.base import Decision, Policy, SchedulingContext
-from repro.policies.scoring import (
-    candidate_batch,
-    group_jobs_by_queue,
-    segment_first_where,
-    segment_max,
-)
-from repro.workload.job import Job
+from repro.carbon.forecast import Forecaster
+from repro.policies.base import SchedulingContext
+from repro.policies.scoring import CandidateBatch, SingleJobBatch, WindowPolicy
 
 __all__ = ["CarbonTime"]
 
 
-class CarbonTime(Policy):
+class CarbonTime(WindowPolicy):
     """Maximize carbon saving per unit of completion time."""
 
     name = "Carbon-Time"
-    carbon_aware = True
     performance_aware = True
-    length_knowledge = "average"
 
-    def decide(self, job: Job, ctx: SchedulingContext) -> Decision:
-        queue = ctx.queue_of(job)
-        estimate = max(1, int(round(ctx.length_estimate(queue))))
-        arrival = job.arrival
-        candidates = ctx.candidate_starts(arrival, queue.max_wait, estimate)
-        if candidates.size == 1:
-            return Decision(start_time=int(candidates[0]))
+    def score_sources(self, ctx: SchedulingContext) -> tuple[Forecaster, ...]:
+        return (ctx.forecaster,)
 
-        footprints = ctx.forecaster.window_carbon_many(arrival, candidates, estimate)
-        immediate = footprints[0]  # candidates[0] == arrival by construction
-        savings = immediate - footprints
-        completion = candidates + estimate - arrival
+    def select_candidates(
+        self, batch: CandidateBatch | SingleJobBatch, windows: list[np.ndarray]
+    ):
+        (footprints,) = windows
+        # Each job's first candidate is its arrival, so the immediate
+        # footprint sits at the slice offsets.
+        immediate = footprints[batch.offsets]
+        savings = batch.expand(immediate) - footprints
+        completion = batch.starts + batch.hold - batch.expand(batch.arrivals)
         cst = savings / completion
-
         # Savings below float noise are no savings: run now rather than
-        # chase prefix-sum rounding artifacts; ties break earliest.
-        tolerance = 1e-9 * max(1.0, float(immediate))
-        best = int(np.flatnonzero(cst >= cst.max() - tolerance / completion[0])[0])
-        if savings[best] <= tolerance:
-            return Decision(start_time=arrival)
-        return Decision(start_time=int(candidates[best]))
-
-    def decide_many(
-        self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
-        if ctx.estimator is not None:
-            # Online estimates can drift between queries; batching would
-            # freeze them at precompute time.
-            return None
-        decisions: list[Decision | None] = [None] * len(jobs)
-        for queue, positions in group_jobs_by_queue(jobs, ctx):
-            estimate = max(1, int(round(ctx.length_estimate(queue))))
-            arrivals = np.fromiter(
-                (jobs[i].arrival for i in positions), np.int64, count=len(positions)
-            )
-            batch = candidate_batch(
-                arrivals, queue.max_wait, estimate, ctx.carbon_horizon, ctx.granularity
-            )
-            chosen = arrivals.copy()
-            if batch.index.size:
-                view = ctx.forecaster.window_view(estimate)
-                if view is None:
-                    return None
-                footprints = view[batch.starts]
-                # First candidate of each job is its arrival, so the
-                # per-job immediate footprint sits at the slice offsets.
-                immediate = footprints[batch.offsets]
-                savings = batch.expand(immediate) - footprints
-                completion = batch.starts + estimate - batch.expand(batch.arrivals)
-                cst = savings / completion
-                # completion[0] in the scalar path is exactly `estimate`.
-                tolerance = 1e-9 * np.maximum(1.0, immediate)
-                threshold = segment_max(cst, batch) - tolerance / estimate
-                best = segment_first_where(cst >= batch.expand(threshold), batch)
-                chosen[batch.index] = np.where(
-                    savings[best] <= tolerance, batch.arrivals, batch.starts[best]
-                )
-            for slot, position in enumerate(positions):
-                decisions[position] = Decision(start_time=int(chosen[slot]))
-        return cast(list[Decision], decisions)
+        # chase prefix-sum rounding artifacts; ties break earliest.  The
+        # arrival's completion time is exactly the hold.
+        tolerance = 1e-9 * np.maximum(1.0, immediate)
+        threshold = batch.segment_max(cst) - tolerance / batch.hold
+        best = batch.segment_first_where(cst >= batch.expand(threshold))
+        return np.where(savings[best] <= tolerance, batch.offsets, best)

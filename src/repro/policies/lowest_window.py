@@ -4,78 +4,24 @@ Choose the start time ``t_start`` in ``[t, t + W)`` minimizing the job's
 total forecast carbon over ``[t_start, t_start + J]``.  The true length
 ``J`` is unknown, so the queue-wide historical average Ĵ stands in for
 it -- the paper's key "coarse length knowledge" assumption.
+
+The candidate search and its near-tie rule (break toward the earliest
+start) are :class:`~repro.policies.scoring.WindowPolicy`'s.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import cast
-
-import numpy as np
-
-from repro.policies.base import Decision, Policy, SchedulingContext
-from repro.policies.scoring import (
-    candidate_batch,
-    group_jobs_by_queue,
-    segment_first_where,
-    segment_max,
-    segment_min,
-)
-from repro.workload.job import Job
+from repro.carbon.forecast import Forecaster
+from repro.policies.base import SchedulingContext
+from repro.policies.scoring import WindowPolicy
 
 __all__ = ["LowestWindow"]
 
 
-class LowestWindow(Policy):
+class LowestWindow(WindowPolicy):
     """Start where the estimated-length carbon integral is smallest."""
 
     name = "Lowest-Window"
-    carbon_aware = True
-    performance_aware = False
-    length_knowledge = "average"
 
-    def decide(self, job: Job, ctx: SchedulingContext) -> Decision:
-        queue = ctx.queue_of(job)
-        estimate = max(1, int(round(ctx.length_estimate(queue))))
-        candidates = ctx.candidate_starts(job.arrival, queue.max_wait, estimate)
-        if candidates.size == 1:
-            return Decision(start_time=int(candidates[0]))
-        footprints = ctx.forecaster.window_carbon_many(job.arrival, candidates, estimate)
-        # Break near-ties toward the earliest start: the prefix-sum
-        # integration carries float noise, and a carbon-equal later start
-        # only costs waiting time.
-        tolerance = 1e-9 * max(1.0, float(np.max(footprints)))
-        best = int(np.flatnonzero(footprints <= footprints.min() + tolerance)[0])
-        return Decision(start_time=int(candidates[best]))
-
-    def decide_many(
-        self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
-        if ctx.estimator is not None:
-            # Online estimates can drift between queries; batching would
-            # freeze them at precompute time.
-            return None
-        decisions: list[Decision | None] = [None] * len(jobs)
-        for queue, positions in group_jobs_by_queue(jobs, ctx):
-            estimate = max(1, int(round(ctx.length_estimate(queue))))
-            arrivals = np.fromiter(
-                (jobs[i].arrival for i in positions), np.int64, count=len(positions)
-            )
-            batch = candidate_batch(
-                arrivals, queue.max_wait, estimate, ctx.carbon_horizon, ctx.granularity
-            )
-            chosen = arrivals.copy()
-            if batch.index.size:
-                view = ctx.forecaster.window_view(estimate)
-                if view is None:
-                    return None
-                footprints = view[batch.starts]
-                tolerance = 1e-9 * np.maximum(1.0, segment_max(footprints, batch))
-                within = footprints <= batch.expand(
-                    segment_min(footprints, batch) + tolerance
-                )
-                best = segment_first_where(within, batch)
-                chosen[batch.index] = batch.starts[best]
-            for slot, position in enumerate(positions):
-                decisions[position] = Decision(start_time=int(chosen[slot]))
-        return cast(list[Decision], decisions)
+    def score_sources(self, ctx: SchedulingContext) -> tuple[Forecaster, ...]:
+        return (ctx.forecaster,)

@@ -20,27 +20,22 @@ are typically published day-ahead.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import cast
-
 import numpy as np
 
+from repro.carbon.forecast import Forecaster
 from repro.errors import SchedulingError
-from repro.policies.base import Decision, Policy, SchedulingContext
+from repro.policies.base import SchedulingContext
 from repro.policies.scoring import (
     CandidateBatch,
-    candidate_batch,
-    group_jobs_by_queue,
-    segment_first_where,
-    segment_max,
-    segment_min,
+    SingleJobBatch,
+    WindowPolicy,
+    first_near_minimum,
 )
-from repro.workload.job import Job
 
 __all__ = ["PriceAware", "WeightedCarbonPrice"]
 
 
-def _price_forecaster(ctx: SchedulingContext):
+def _price_forecaster(ctx: SchedulingContext) -> Forecaster:
     forecaster = getattr(ctx, "price_forecaster", None)
     if forecaster is None:
         raise SchedulingError(
@@ -50,68 +45,32 @@ def _price_forecaster(ctx: SchedulingContext):
     return forecaster
 
 
-class PriceAware(Policy):
+def _normalized(series: np.ndarray, batch: CandidateBatch | SingleJobBatch) -> np.ndarray:
+    """``series`` over the magnitude of each job's immediate-start value.
+
+    A near-zero anchor leaves the series as is; division by 1.0 is exact.
+    """
+    anchor = np.abs(series[batch.offsets])
+    divisor = np.where(anchor > 1e-12, anchor, 1.0)
+    return series / batch.expand(divisor)
+
+
+class PriceAware(WindowPolicy):
     """Start where the estimated-length *energy cost* integral is smallest."""
 
     name = "Price-Aware"
     carbon_aware = False
-    performance_aware = False
-    length_knowledge = "average"
 
-    def decide(self, job: Job, ctx: SchedulingContext) -> Decision:
-        queue = ctx.queue_of(job)
-        estimate = max(1, int(round(ctx.length_estimate(queue))))
-        candidates = ctx.candidate_starts(job.arrival, queue.max_wait, estimate)
-        if candidates.size == 1:
-            return Decision(start_time=int(candidates[0]))
-        prices = _price_forecaster(ctx).window_carbon_many(
-            job.arrival, candidates, estimate
-        )
-        tolerance = 1e-9 * max(1.0, float(np.max(np.abs(prices))))
-        best = int(np.flatnonzero(prices <= prices.min() + tolerance)[0])
-        return Decision(start_time=int(candidates[best]))
-
-    def decide_many(
-        self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
-        if ctx.estimator is not None:
-            return None
-        decisions: list[Decision | None] = [None] * len(jobs)
-        for queue, positions in group_jobs_by_queue(jobs, ctx):
-            estimate = max(1, int(round(ctx.length_estimate(queue))))
-            arrivals = np.fromiter(
-                (jobs[i].arrival for i in positions), np.int64, count=len(positions)
-            )
-            batch = candidate_batch(
-                arrivals, queue.max_wait, estimate, ctx.carbon_horizon, ctx.granularity
-            )
-            chosen = arrivals.copy()
-            if batch.index.size:
-                view = _price_forecaster(ctx).window_view(estimate)
-                if view is None:
-                    return None
-                prices = view[batch.starts]
-                # Price series can be negative: bound the tolerance by the
-                # largest magnitude, exactly as the scalar path does.
-                tolerance = 1e-9 * np.maximum(1.0, segment_max(np.abs(prices), batch))
-                within = prices <= batch.expand(segment_min(prices, batch) + tolerance)
-                best = segment_first_where(within, batch)
-                chosen[batch.index] = batch.starts[best]
-            for slot, position in enumerate(positions):
-                decisions[position] = Decision(start_time=int(chosen[slot]))
-        return cast(list[Decision], decisions)
+    def score_sources(self, ctx: SchedulingContext) -> tuple[Forecaster, ...]:
+        return (_price_forecaster(ctx),)
 
 
-class WeightedCarbonPrice(Policy):
+class WeightedCarbonPrice(WindowPolicy):
     """Minimize ``w * carbon + (1 - w) * energy_cost`` over the window.
 
     Both objectives are normalized by their value at the immediate start
     so the weight is unitless; ``carbon_weight`` in [0, 1].
     """
-
-    carbon_aware = True
-    performance_aware = False
-    length_knowledge = "average"
 
     def __init__(self, carbon_weight: float = 0.5):
         if not 0.0 <= carbon_weight <= 1.0:
@@ -119,71 +78,14 @@ class WeightedCarbonPrice(Policy):
         self.carbon_weight = carbon_weight
         self.name = f"Carbon-Price({carbon_weight:.2f})"
 
-    def decide(self, job: Job, ctx: SchedulingContext) -> Decision:
-        queue = ctx.queue_of(job)
-        estimate = max(1, int(round(ctx.length_estimate(queue))))
-        arrival = job.arrival
-        candidates = ctx.candidate_starts(arrival, queue.max_wait, estimate)
-        if candidates.size == 1:
-            return Decision(start_time=int(candidates[0]))
+    def score_sources(self, ctx: SchedulingContext) -> tuple[Forecaster, ...]:
+        return (ctx.forecaster, _price_forecaster(ctx))
 
-        window_carbon_g = ctx.forecaster.window_carbon_many(
-            arrival, candidates, estimate
-        )
-        window_cost = _price_forecaster(ctx).window_carbon_many(
-            arrival, candidates, estimate
-        )
-
-        def normalized(series: np.ndarray) -> np.ndarray:
-            anchor = abs(float(series[0]))
-            return series / anchor if anchor > 1e-12 else series
-
-        blended = (
-            self.carbon_weight * normalized(window_carbon_g)
-            + (1.0 - self.carbon_weight) * normalized(window_cost)
-        )
-        tolerance = 1e-9 * max(1.0, float(np.max(np.abs(blended))))
-        best = int(np.flatnonzero(blended <= blended.min() + tolerance)[0])
-        return Decision(start_time=int(candidates[best]))
-
-    def decide_many(
-        self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
-        if ctx.estimator is not None:
-            return None
-        decisions: list[Decision | None] = [None] * len(jobs)
-        for queue, positions in group_jobs_by_queue(jobs, ctx):
-            estimate = max(1, int(round(ctx.length_estimate(queue))))
-            arrivals = np.fromiter(
-                (jobs[i].arrival for i in positions), np.int64, count=len(positions)
-            )
-            batch = candidate_batch(
-                arrivals, queue.max_wait, estimate, ctx.carbon_horizon, ctx.granularity
-            )
-            chosen = arrivals.copy()
-            if batch.index.size:
-                carbon_view = ctx.forecaster.window_view(estimate)
-                price_view = _price_forecaster(ctx).window_view(estimate)
-                if carbon_view is None or price_view is None:
-                    return None
-
-                def normalized(series: np.ndarray, batch: CandidateBatch) -> np.ndarray:
-                    # Division by 1.0 is exact, so folding the scalar
-                    # path's `if anchor > 1e-12` branch into a divisor of
-                    # 1.0 keeps the bits identical.
-                    anchor = np.abs(series[batch.offsets])
-                    divisor = np.where(anchor > 1e-12, anchor, 1.0)
-                    return series / batch.expand(divisor)
-
-                blended = (
-                    self.carbon_weight * normalized(carbon_view[batch.starts], batch)
-                    + (1.0 - self.carbon_weight)
-                    * normalized(price_view[batch.starts], batch)
-                )
-                tolerance = 1e-9 * np.maximum(1.0, segment_max(np.abs(blended), batch))
-                within = blended <= batch.expand(segment_min(blended, batch) + tolerance)
-                best = segment_first_where(within, batch)
-                chosen[batch.index] = batch.starts[best]
-            for slot, position in enumerate(positions):
-                decisions[position] = Decision(start_time=int(chosen[slot]))
-        return cast(list[Decision], decisions)
+    def select_candidates(
+        self, batch: CandidateBatch | SingleJobBatch, windows: list[np.ndarray]
+    ):
+        window_carbon_g, window_cost = windows
+        blended = self.carbon_weight * _normalized(window_carbon_g, batch) + (
+            1.0 - self.carbon_weight
+        ) * _normalized(window_cost, batch)
+        return first_near_minimum(batch, blended)

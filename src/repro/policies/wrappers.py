@@ -60,10 +60,8 @@ class _Wrapper(Policy):
 
     def decide_many(
         self, jobs: Sequence[Job], ctx: SchedulingContext
-    ) -> list[Decision] | None:
+    ) -> list[Decision]:
         inner = self.inner.decide_many(jobs, ctx)
-        if inner is None:
-            return None
         return [
             self._wrap(job, decision, ctx)
             for job, decision in zip(jobs, inner, strict=True)

@@ -183,5 +183,4 @@ class ServiceConfig:
             online_estimation=True,
             tracer=tracer,
             fault_plan=self.fault_plan,
-            fast_path=False,
         )

@@ -150,10 +150,8 @@ class Engine:
         instance_overhead_minutes: int = 0,
         length_estimator=None,
         price_forecaster: Forecaster | None = None,
-        memoize_decisions: bool | None = None,
         tracer: Tracer | None = None,
         fault_injector=None,
-        fast_path: bool = True,
     ):
         self.workload = workload
         self.carbon = carbon
@@ -202,18 +200,8 @@ class Engine:
         # of re-running the candidate-window argmin.  Sound only for
         # stateless policies (see Policy.stateless) and never with an
         # online length estimator, whose estimates drift within a run.
-        if memoize_decisions is None:
-            memoize_decisions = getattr(policy, "stateless", False)
-        self.memoize_decisions = bool(memoize_decisions) and length_estimator is None
+        self._memoize = policy.stateless and length_estimator is None
         self._decision_memo: dict[tuple[int, str, int, int], Decision] = {}
-        # Array-native fast path: batch-precompute decisions and, for
-        # contention-free workloads, skip the event loop entirely.
-        # Bit-identical to the scalar path by construction (see run());
-        # ``fast_path=False`` forces per-arrival decide() through the
-        # session replay, which the digest-parity suite compares against.
-        self.fast_path = bool(fast_path)
-        self._precomputed = False
-        self._precomputed_fresh: set[tuple[int, str, int, int]] = set()
         self._batched_decisions = 0
 
         self._heap: list[tuple[int, int, int, _RunState | Job]] = []
@@ -222,9 +210,6 @@ class Engine:
         self._runs: list[_RunState] = []
         self._finished: list[_RunState] = []  # finish order (event loop only)
         self._opened = False
-        # Cheap always-on counters, snapshot into SimulationResult.metrics.
-        self._policy_calls = 0
-        self._memo_hits = 0
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -267,13 +252,15 @@ class Engine:
         """Execute the whole workload and return the accounting result.
 
         The batch path is the online session replaying the trace: open,
-        feed every arrival in canonical order, drain.  The array-native
-        fast path slots in front -- decisions are batch-precomputed when
-        provably sound, and a contention-free workload skips the event
-        loop entirely (:meth:`_run_linear`) -- with unchanged digests.
+        feed every arrival in canonical order, drain.  When decisions are
+        memoized and nothing observes or perturbs them between arrivals
+        (no tracer, no fault injector), they are batch-precomputed into
+        the memo first, and a contention-free workload then skips the
+        event loop entirely (:meth:`_run_linear`) -- with unchanged
+        digests.
         """
         session = self.open()
-        if self.fast_path:
+        if self._memoize and not self._tracing and self._fault_injector is None:
             self._precompute_decisions()
             if self._can_run_linear():
                 self._run_linear()
@@ -291,57 +278,42 @@ class Engine:
         return self._build_result()
 
     def _precompute_decisions(self) -> None:
-        """Batch the run's scheduling decisions up front when provably sound.
+        """Fill the decision memo for every distinct job key in one batch.
 
-        Requirements, all checked here: decisions must be memoizable
-        (stateless policy, no online length estimator), tracing must be
-        off (batched scoring emits no per-job CandidateWindow /
-        PolicyDecision events), and no fault injector may mutate
-        scheduling inputs between arrivals.  The policy may still opt out
-        by returning ``None`` from ``decide_many``; either way the run
-        falls back to per-arrival ``decide`` calls with an unchanged
-        digest.  Decisions are validated here exactly as the lazy path
-        validates them on first compute, and ``_policy_calls`` /
-        ``_memo_hits`` metrics stay identical via ``_precomputed_fresh``
-        (the first arrival-time lookup of a precomputed key is the
-        batched stand-in for the lazy compute, not a memo hit).
+        The caller guarantees soundness: decisions are memoizable
+        (stateless policy, no online length estimator), tracing is off
+        (batched scoring emits no per-job CandidateWindow /
+        PolicyDecision events), and no fault injector mutates scheduling
+        inputs between arrivals.  Decisions are validated here exactly
+        as the per-arrival path validates them on first compute.
 
         A subclass that overrides ``decide`` while inheriting an
-        ancestor's ``decide_many`` would silently batch the *ancestor's*
-        decisions; such policies are detected by MRO position and fall
-        back to the scalar path.
+        ancestor's ``decide_many`` would batch the *ancestor's* rule;
+        such policies are detected by MRO position and batched through
+        the base loop over their own ``decide``.
         """
-        if not self.memoize_decisions or self._tracing or self._fault_injector is not None:
-            return
-        if not _batched_hook_consistent(self.policy):
-            return
         unique: dict[tuple[int, str, int, int], Job] = {}
         for job in self.workload:
             key = (job.arrival, job.queue, job.cpus, job.length)
             if key not in unique:
                 unique[key] = job
         batch = list(unique.values())
-        decisions = self.policy.decide_many(batch, self.ctx)
-        if decisions is None:
-            return
+        if _batched_hook_consistent(self.policy):
+            decisions = self.policy.decide_many(batch, self.ctx)
+        else:
+            decisions = Policy.decide_many(self.policy, batch, self.ctx)
         if self.validate:
             self._validate_batched(batch, decisions)
-        memo = self._decision_memo
-        for job, decision in zip(batch, decisions, strict=True):
-            memo[(job.arrival, job.queue, job.cpus, job.length)] = decision
-        self._policy_calls += len(batch)
+        self._decision_memo.update(zip(unique, decisions, strict=True))
         self._batched_decisions = len(batch)
-        self._precomputed = True
-        self._precomputed_fresh = set(memo)
 
     def _validate_batched(self, jobs: list[Job], decisions: list[Decision]) -> None:
         """Vectorized :func:`validate_decision` over a precomputed batch.
 
-        Plain start-time decisions -- the entire batched-policy surface
-        today -- reduce to two array bound checks.  Segment plans, length
-        mismatches, and any batch that fails the vectorized checks fall
-        back to the scalar validator, which raises the exact per-job
-        error in batch order.
+        Plain start-time decisions reduce to two array bound checks.
+        Segment plans, length mismatches, and any batch that fails the
+        vectorized checks fall back to the scalar validator, which
+        raises the exact per-job error in batch order.
         """
         if len(jobs) != len(decisions) or any(
             decision.segments is not None for decision in decisions
@@ -382,11 +354,10 @@ class Engine:
         reserved-pickup queueing, and no suspend-resume plans, jobs never
         interact: each runs on-demand from its decided start for exactly
         its length, so the event loop adds ordering the outcome does not
-        depend on.  Requires a successful decision precompute (which
-        itself guarantees no tracer, no fault injector, and no online
-        estimator) so the full decision set is inspectable up front.
+        depend on.  Called after the decision precompute, so the full
+        decision set is inspectable up front.
         """
-        if not self._precomputed or self.pool.capacity != 0:
+        if self.pool.capacity != 0:
             return False
         return all(
             decision.segments is None
@@ -401,13 +372,10 @@ class Engine:
         Replays exactly what the event loop would do for independent
         jobs -- arrival, on-demand start at ``decision.start_time``, one
         usage interval, finish ``length`` minutes later -- directly into
-        run states, in workload (= arrival processing) order.  The
-        memo-hit tally reproduces the per-arrival ``_decide`` stream
-        arithmetically: the first lookup of each precomputed key is the
-        stand-in for its lazy compute, every later lookup is a hit.
-        Runs skip :meth:`_finalize`, so the finish-ordered ``_finished``
-        list stays empty: only ``run()`` takes this path, and it never
-        hands its session to a caller.
+        run states, in workload (= arrival processing) order.  Runs skip
+        :meth:`_finalize`, so the finish-ordered ``_finished`` list stays
+        empty: only ``run()`` takes this path, and it never hands its
+        session to a caller.
         """
         memo = self._decision_memo
         runs = self._runs
@@ -428,8 +396,6 @@ class Engine:
                     usage=[interval(start, finish, job.cpus, on_demand)],
                 )
             )
-        self._memo_hits += len(runs) - self._batched_decisions
-        self._precomputed_fresh.clear()
 
     # ------------------------------------------------------------------
     # Handlers
@@ -469,36 +435,18 @@ class Engine:
         every decide() input matches.  Decisions are frozen, so sharing
         one across runs is safe.
         """
-        if not self.memoize_decisions:
+        key = (job.arrival, job.queue, job.cpus, job.length)
+        decision = self._decision_memo.get(key) if self._memoize else None
+        memoized = decision is not None
+        if decision is None:
             decision = self.policy.decide(job, self.ctx)
-            self._policy_calls += 1
             if self.validate:
                 validate_decision(job, decision, self.ctx)
-            if self._tracing:
-                self._trace_decision(job, decision, memoized=False)
-            return decision
-        key = (job.arrival, job.queue, job.cpus, job.length)
-        cached = self._decision_memo.get(key)
-        memoized = cached is not None
-        if cached is None:
-            cached = self.policy.decide(job, self.ctx)
-            self._policy_calls += 1
-            if self.validate:
-                validate_decision(job, cached, self.ctx)
-            self._decision_memo[key] = cached
-        elif self._precomputed_fresh:
-            # A batch-precomputed decision's first arrival-time lookup is
-            # the stand-in for the lazy compute (already tallied as a
-            # policy call), not a memo hit; later lookups are hits.
-            if key in self._precomputed_fresh:
-                self._precomputed_fresh.discard(key)
-            else:
-                self._memo_hits += 1
-        else:
-            self._memo_hits += 1
+            if self._memoize:
+                self._decision_memo[key] = decision
         if self._tracing:
-            self._trace_decision(job, cached, memoized=memoized)
-        return cached
+            self._trace_decision(job, decision, memoized=memoized)
+        return decision
 
     def _ci_at(self, minute: int) -> float:
         """True hourly carbon intensity (g/kWh) at a simulation minute."""
@@ -975,11 +923,15 @@ class Engine:
         collection adds no per-event cost (``docs/observability.md``
         catalogues the names).
         """
+        # Every run made one decision lookup; a memoizing engine computed
+        # one decision per memo entry, any other engine one per run.
+        runs = len(self._runs)
+        policy_calls = len(self._decision_memo) if self._memoize else runs
         registry = MetricsRegistry()
         registry.counter("engine.jobs", float(len(records)))
-        registry.counter(f"policy.decisions.{self.policy.name}", float(len(self._runs)))
-        registry.counter("engine.policy_calls", float(self._policy_calls))
-        registry.counter("engine.decision_memo_hits", float(self._memo_hits))
+        registry.counter(f"policy.decisions.{self.policy.name}", float(runs))
+        registry.counter("engine.policy_calls", float(policy_calls))
+        registry.counter("engine.decision_memo_hits", float(runs - policy_calls))
         registry.counter(
             "engine.evictions", float(sum(run.evictions for run in self._runs))
         )
@@ -991,7 +943,7 @@ class Engine:
         )
         registry.counter("engine.batched_decisions", float(self._batched_decisions))
         registry.gauge("engine.reserved_cpus", float(self.pool.capacity))
-        registry.gauge("engine.memoize_decisions", float(self.memoize_decisions))
+        registry.gauge("engine.decision_memo", float(self._memoize))
         waiting = getattr(self, "_waiting_minutes", None)
         if waiting is None:
             waiting = [float(record.waiting_time) for record in records]

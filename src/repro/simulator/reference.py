@@ -492,10 +492,6 @@ def run_reference(
     rejects any knob the reference deliberately does not implement
     (tracing, fault plans, online estimation, forecaster factories).
     """
-    # Decisions are pure, so caching can't matter; fast_path selects
-    # between two bit-identical optimized code paths the reference is the
-    # oracle for either way.
-    ignorable = {"memoize_decisions", "fast_path"}
     rejected = {
         "forecaster_factory",
         "online_estimation",
@@ -504,8 +500,6 @@ def run_reference(
         "fault_plan",
     }
     for name, value in unsupported.items():
-        if name in ignorable:
-            continue
         if name not in rejected:
             raise ConfigError(f"run_reference got an unknown knob {name!r}")
         if value is not None and value is not False:

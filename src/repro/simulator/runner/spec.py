@@ -259,7 +259,6 @@ class SimulationSpec:
     instance_overhead_minutes: int = 0
     online_estimation: bool = False
     price_series: FrozenSeries | None = None
-    memoize_decisions: bool | None = None
     fault_plan: FaultPlan | None = None
 
     @classmethod
@@ -284,7 +283,6 @@ class SimulationSpec:
         instance_overhead_minutes: int = 0,
         online_estimation: bool = False,
         price_trace: HourlySeries | None = None,
-        memoize_decisions: bool | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> "SimulationSpec":
         """Freeze the arguments of one ``run_simulation`` call.
@@ -328,7 +326,6 @@ class SimulationSpec:
             price_series=(
                 FrozenSeries.freeze(price_trace) if price_trace is not None else None
             ),
-            memoize_decisions=memoize_decisions,
             fault_plan=fault_plan,
         )
 
@@ -367,7 +364,6 @@ class SimulationSpec:
             "price_trace": (
                 self.price_series.thaw() if self.price_series is not None else None
             ),
-            "memoize_decisions": self.memoize_decisions,
             "fault_plan": self.fault_plan,
         }
 
@@ -412,7 +408,6 @@ class SimulationSpec:
                     if self.price_series is not None
                     else "-"
                 ),
-                repr(self.memoize_decisions),
                 self.fault_plan.digest() if self.fault_plan is not None else "-",
             ]
             cached = hashlib.sha256("\x1f".join(parts).encode()).hexdigest()

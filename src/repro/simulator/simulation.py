@@ -82,10 +82,8 @@ def build_engine(
     forecaster_factory=None,
     online_estimation: bool = False,
     price_trace=None,
-    memoize_decisions: bool | None = None,
     tracer: Tracer | None = None,
     fault_plan: FaultPlan | None = None,
-    fast_path: bool = True,
 ) -> Engine:
     """Build a ready-to-run :class:`Engine` from experiment-level knobs.
 
@@ -167,10 +165,8 @@ def build_engine(
         instance_overhead_minutes=instance_overhead_minutes,
         length_estimator=estimator,
         price_forecaster=_price_forecaster_for(price_trace, covering),
-        memoize_decisions=memoize_decisions,
         tracer=tracer,
         fault_injector=engine_injector(fault_plan),
-        fast_path=fast_path,
     )
 
 
@@ -194,10 +190,8 @@ def run_simulation(
     forecaster_factory=None,
     online_estimation: bool = False,
     price_trace=None,
-    memoize_decisions: bool | None = None,
     tracer: Tracer | None = None,
     fault_plan: FaultPlan | None = None,
-    fast_path: bool = True,
 ) -> SimulationResult:
     """Run one policy over one workload/region and return the accounting.
 
@@ -205,20 +199,11 @@ def run_simulation(
     the pre-paid pool size, ``eviction_model`` the spot market behaviour,
     ``forecast_sigma`` > 0 switches to noisy CI forecasts (ablation), and
     ``granularity`` the candidate start-time spacing in minutes.
-    ``memoize_decisions`` overrides the engine's default of caching
-    decisions for stateless policies (never cached under online
-    estimation, whose length estimates drift within a run).
 
     ``tracer`` enables the observability layer for this run (see
     ``docs/observability.md``); ``None`` consults ``$REPRO_TRACE`` via
     :func:`repro.obs.tracer.tracer_from_env` and defaults to the no-op
     null tracer, which leaves results and timings untouched.
-
-    ``fast_path`` (default on) enables the engine's array-native fast
-    path -- batched decision precomputation and the linear schedule for
-    contention-free runs -- which is bit-identical to the per-arrival
-    scalar path; ``False`` forces the scalar path (the digest-parity
-    suite runs both and compares).
 
     ``fault_plan`` injects deterministic faults (see
     ``docs/robustness.md``): process faults fire immediately, input
@@ -252,10 +237,8 @@ def run_simulation(
         forecaster_factory=forecaster_factory,
         online_estimation=online_estimation,
         price_trace=price_trace,
-        memoize_decisions=memoize_decisions,
         tracer=tracer,
         fault_plan=fault_plan,
-        fast_path=fast_path,
     )
     try:
         return engine.run()

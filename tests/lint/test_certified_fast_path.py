@@ -1,13 +1,15 @@
-"""The engine fast path must stay inside the certified set (SIM102).
+"""The engine's decision pipeline must stay inside the certified set (SIM102).
 
 The batched ``decide_many`` hooks are reached dynamically (the engine
-looks them up on the policy instance), so they are registered as digest
-entry points in :data:`DIGEST_ENTRY_PATTERNS`.  These tests pin that
-registration and the consequence that matters: every fast-path module
--- the scoring helpers, the batched policies, and the engine itself --
-appears in the certification report's file set, and therefore in the
-result cache's code-version salt.  Losing any of them would let a
-semantic edit to the fast path silently serve stale cached sweeps.
+looks them up on the policy instance), and so are the window policies'
+score-source and selection hooks (``WindowPolicy`` looks them up on
+``self``), so all three are registered as digest entry points in
+:data:`DIGEST_ENTRY_PATTERNS`.  These tests pin that registration and
+the consequence that matters: every decision-pipeline module -- the
+scoring helpers, the window policies, and the engine itself -- appears
+in the certification report's file set, and therefore in the result
+cache's code-version salt.  Losing any of them would let a semantic
+edit to a selection rule silently serve stale cached sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.lint.analysis.project import ProjectContext
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
 
-#: Source files implementing the array fast path, relative to the
+#: Source files implementing the decision pipeline, relative to the
 #: ``repro`` package root.
 FAST_PATH_FILES = (
     "policies/scoring.py",
@@ -48,9 +50,14 @@ def test_decide_many_is_a_registered_entry_pattern():
 
 def test_decide_many_hooks_are_entry_functions(project):
     entries = entry_functions(project)
-    batched = {name for name in entries if name.endswith(".decide_many")}
-    assert "repro.policies.lowest_window.LowestWindow.decide_many" in batched
-    assert "repro.policies.carbon_time.CarbonTime.decide_many" in batched
+    assert "repro.policies.scoring.WindowPolicy.decide_many" in entries
+    assert "repro.policies.scoring.WindowPolicy.select_candidates" in entries
+    assert "repro.policies.lowest_window.LowestWindow.score_sources" in entries
+    assert "repro.policies.carbon_time.CarbonTime.score_sources" in entries
+    assert "repro.policies.carbon_time.CarbonTime.select_candidates" in entries
+    assert "repro.policies.price_aware.PriceAware.score_sources" in entries
+    assert "repro.policies.price_aware.WeightedCarbonPrice.score_sources" in entries
+    assert "repro.policies.price_aware.WeightedCarbonPrice.select_candidates" in entries
 
 
 def test_fast_path_files_are_certified(project):

@@ -116,7 +116,7 @@ class TestEngineTrace:
         assert all(w.latest >= w.time and w.num_candidates >= 1 for w in windows)
 
     def test_memo_hits_match_the_memoized_decision_flags(self):
-        result, tracer = traced_run(memoize_decisions=True)
+        result, tracer = traced_run()
         memoized = [d for d in tracer.by_type("policy_decision") if d.memoized]
         counters = result.metrics["counters"]
         assert counters.get("engine.decision_memo_hits", 0.0) == len(memoized)

@@ -1,13 +1,15 @@
-"""Digest parity between the engine's array fast path and the scalar path.
+"""Decision parity: per-arrival, batched and reference decisions agree.
 
-The fast path (``Engine(fast_path=True)``, the default) precomputes
-decisions through the policies' batched ``decide_many`` hooks and drains
-events through the merged arrival feed; the legacy path walks the same
-scenario one ``decide()`` and one heap push at a time.  The two must be
+An untraced engine precomputes every decision through the policies'
+batched ``decide_many`` hooks (and, for contention-free runs, skips the
+event loop); a traced engine asks the policy one ``decide()`` per
+arrival so it can emit candidate-window events.  The two must be
 *bit-identical*: these tests pin ``SimulationResult.digest()`` equality
-for the full policy pool on two pinned scenarios, and hold the batched
-candidate-window scoring against an independent scalar oracle with
-hypothesis.
+between a traced and an untraced run for the full policy pool on three
+pinned scenarios, compare both against the scalar reference engine,
+check the decision-memo counters, and hold every window policy's
+selection rule -- on its one-job and its flat-batch path -- against a
+naive oracle with hypothesis.
 """
 
 from __future__ import annotations
@@ -29,16 +31,16 @@ from repro import (
 )
 from repro.carbon import correlated_price_trace
 from repro.carbon.trace import CarbonIntensityTrace
+from repro.difftest.diff import compare_results
 from repro.difftest.scenarios import POLICY_POOL
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, CollectingTracer
+from repro.policies import CarbonTime, LowestWindow, PriceAware, WeightedCarbonPrice
 from repro.policies.base import SchedulingContext
-from repro.policies.scoring import (
-    candidate_batch,
-    segment_first_where,
-    segment_max,
-    segment_min,
-)
-from repro.units import days
+from repro.policies.scoring import candidate_batch
+from repro.simulator.reference import run_reference
+from repro.units import days, hours
+from repro.workload.job import Job, JobQueue, QueueSet
+from repro.workload.trace import WorkloadTrace
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +53,15 @@ def carbon_trace():
     return region_trace("ON-CA")
 
 
-#: Two pinned scenarios: a deterministic reserved-pool run where the
-#: perfect forecaster makes the batched scoring path live, and a
-#: stochastic spot run (noisy forecaster, so decide_many falls back to
-#: the scalar hooks) that exercises the merged event feed under
+#: Three pinned scenarios: a contention-free run that the untraced
+#: engine materializes without an event loop wherever no decision asks
+#: for spot or reserved pickup, a deterministic reserved-pool run where
+#: the perfect forecaster makes batched scoring live, and a stochastic
+#: spot run (noisy forecaster, so the window policies' decide_many falls
+#: back to per-job decide) that exercises the event loop under
 #: evictions, checkpointing, retries, and boot overhead.
 PINNED_SCENARIOS: dict[str, dict] = {
+    "linear-perfect": dict(reserved_cpus=0, granularity=5),
     "reserved-perfect": dict(reserved_cpus=16, granularity=5),
     "spot-noisy": dict(
         reserved_cpus=6,
@@ -72,27 +77,141 @@ PINNED_SCENARIOS: dict[str, dict] = {
 }
 
 
+def _traced_and_untraced(workload, carbon_trace, policy, **kwargs):
+    """The same run with per-arrival decisions (traced) and batched ones."""
+    traced = run_simulation(
+        workload, carbon_trace, policy, tracer=CollectingTracer(), **kwargs
+    )
+    untraced = run_simulation(workload, carbon_trace, policy, **kwargs)
+    return traced, untraced
+
+
 @pytest.mark.parametrize("scenario", sorted(PINNED_SCENARIOS))
 @pytest.mark.parametrize("policy", POLICY_POOL)
 def test_fast_path_digest_parity(workload, carbon_trace, policy, scenario):
     kwargs = PINNED_SCENARIOS[scenario]
-    fast = run_simulation(workload, carbon_trace, policy, **kwargs)
-    legacy = run_simulation(workload, carbon_trace, policy, fast_path=False, **kwargs)
-    assert fast.digest() == legacy.digest()
+    traced, untraced = _traced_and_untraced(workload, carbon_trace, policy, **kwargs)
+    assert traced.metrics["counters"].get("engine.batched_decisions", 0.0) == 0.0
+    assert untraced.digest() == traced.digest()
+    diff = compare_results(run_reference(workload, carbon_trace, policy, **kwargs), untraced)
+    assert diff.identical, diff.render()
 
 
 @pytest.mark.parametrize("policy", ["price-aware", "carbon-price"])
 def test_fast_path_digest_parity_price_policies(workload, carbon_trace, policy):
+    # The reference engine takes no price trace, so these runs compare
+    # the two optimized decision paths only.
     price = correlated_price_trace(carbon_trace, seed=5)
     kwargs = dict(reserved_cpus=8, price_trace=price, granularity=5)
-    fast = run_simulation(workload, carbon_trace, policy, **kwargs)
-    legacy = run_simulation(workload, carbon_trace, policy, fast_path=False, **kwargs)
-    assert fast.digest() == legacy.digest()
+    traced, untraced = _traced_and_untraced(workload, carbon_trace, policy, **kwargs)
+    assert untraced.metrics["counters"]["engine.batched_decisions"] > 0
+    assert untraced.digest() == traced.digest()
 
 
 # ----------------------------------------------------------------------
-# Batched scoring vs an independent scalar oracle (hypothesis)
+# Decision-memo counters
 # ----------------------------------------------------------------------
+def _replicated_workload() -> WorkloadTrace:
+    """Jobs sharing (arrival, queue, cpus, length) keys, some of them thrice."""
+    distinct = [
+        (hours(3) * i + 17 * (i % 4), 45 + 60 * (i % 3), 1 + i % 2) for i in range(12)
+    ]
+    jobs = []
+    for index, (arrival, length, cpus) in enumerate(distinct):
+        for _ in range(1 + index % 3):
+            jobs.append(Job(job_id=len(jobs), arrival=arrival, length=length, cpus=cpus))
+    return WorkloadTrace(jobs, name="replicated", horizon=days(3))
+
+
+@pytest.mark.parametrize("reserved_cpus", [0, 3])
+@pytest.mark.parametrize(
+    "policy", ["carbon-time", "nowait", "wait-awhile", "res-first:lowest-window"]
+)
+def test_memo_counters_count_unique_keys(carbon_trace, policy, reserved_cpus):
+    workload = _replicated_workload()
+    unique = {(job.arrival, job.cpus, job.length) for job in workload}
+    assert len(unique) < len(workload)
+    traced, untraced = _traced_and_untraced(
+        workload, carbon_trace, policy, reserved_cpus=reserved_cpus
+    )
+    assert untraced.digest() == traced.digest()
+    for result in (traced, untraced):
+        counters = result.metrics["counters"]
+        assert counters["engine.policy_calls"] == len(unique)
+        assert counters["engine.decision_memo_hits"] == len(workload) - len(unique)
+
+
+# ----------------------------------------------------------------------
+# Selection rules vs a naive oracle (hypothesis)
+# ----------------------------------------------------------------------
+# The oracle is the scalar search each window policy ran before the
+# rules were shared between the one-job and batched paths, kept verbatim.
+def _oracle_lowest_window(candidates, windows, arrival, estimate, weight):
+    (footprints,) = windows
+    tolerance = 1e-9 * max(1.0, float(np.max(footprints)))
+    best = int(np.flatnonzero(footprints <= footprints.min() + tolerance)[0])
+    return int(candidates[best])
+
+
+def _oracle_carbon_time(candidates, windows, arrival, estimate, weight):
+    (footprints,) = windows
+    immediate = footprints[0]
+    savings = immediate - footprints
+    completion = candidates + estimate - arrival
+    cst = savings / completion
+    tolerance = 1e-9 * max(1.0, float(immediate))
+    best = int(np.flatnonzero(cst >= cst.max() - tolerance / completion[0])[0])
+    if savings[best] <= tolerance:
+        return arrival
+    return int(candidates[best])
+
+
+def _oracle_price_aware(candidates, windows, arrival, estimate, weight):
+    (prices,) = windows
+    tolerance = 1e-9 * max(1.0, float(np.max(np.abs(prices))))
+    best = int(np.flatnonzero(prices <= prices.min() + tolerance)[0])
+    return int(candidates[best])
+
+
+def _oracle_carbon_price(candidates, windows, arrival, estimate, weight):
+    window_carbon_g, window_cost = windows
+
+    def normalized(series: np.ndarray) -> np.ndarray:
+        anchor = abs(float(series[0]))
+        return series / anchor if anchor > 1e-12 else series
+
+    blended = weight * normalized(window_carbon_g) + (1.0 - weight) * normalized(window_cost)
+    tolerance = 1e-9 * max(1.0, float(np.max(np.abs(blended))))
+    best = int(np.flatnonzero(blended <= blended.min() + tolerance)[0])
+    return int(candidates[best])
+
+
+#: Policy factory (by carbon weight), oracle, and the score sources'
+#: view names, per window policy.
+WINDOW_POLICIES = {
+    "lowest-window": (lambda weight: LowestWindow(), _oracle_lowest_window, ("carbon",)),
+    "carbon-time": (lambda weight: CarbonTime(), _oracle_carbon_time, ("carbon",)),
+    "price-aware": (lambda weight: PriceAware(), _oracle_price_aware, ("price",)),
+    "carbon-price": (WeightedCarbonPrice, _oracle_carbon_price, ("carbon", "price")),
+}
+
+
+class _ViewForecaster:
+    """A forecaster answering from one precomputed window-integral view."""
+
+    def __init__(self, view: np.ndarray, hold: int):
+        self.view = view
+        self.hold = hold
+
+    def window_carbon_many(self, now: int, starts: np.ndarray, duration: int) -> np.ndarray:
+        assert duration == self.hold
+        return self.view[starts]
+
+    def window_view(self, duration: int) -> np.ndarray:
+        assert duration == self.hold
+        return self.view
+
+
 def _scalar_starts(arrival: int, max_wait: int, hold: int, horizon: int,
                    granularity: int) -> np.ndarray:
     """The real scalar grid, via the untouched candidate_starts method."""
@@ -102,57 +221,77 @@ def _scalar_starts(arrival: int, max_wait: int, hold: int, horizon: int,
     return SchedulingContext.candidate_starts(ctx, arrival, max_wait, hold)
 
 
+def _draw_view(data, size: int, signed: bool, label: str) -> np.ndarray:
+    """Window integrals: uniform noise, or a few levels with near-ties.
+
+    The tie mode puts candidates within the rules' 1e-9 relative
+    tolerance of each other, at magnitudes where the tolerance band is
+    wider than float noise; ``signed`` views (prices) may be negative.
+    """
+    seed = data.draw(st.integers(0, 2**31 - 1), label=f"{label}_seed")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label=f"{label}_ties"):
+        levels = [-1e6, -2.5, 0.0, 250.0] if signed else [0.0, 250.0, 1e6]
+        level = data.draw(st.sampled_from(levels), label=f"{label}_level")
+        step = data.draw(st.sampled_from([0.0, 4e-4, 0.5]), label=f"{label}_step")
+        return level + rng.integers(0, 3, size) * step
+    low = -500.0 if signed else 0.0
+    return rng.uniform(low, 500.0, size)
+
+
 @given(data=st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_batched_window_scoring_matches_scalar(data):
+    name = data.draw(st.sampled_from(sorted(WINDOW_POLICIES)), label="policy")
+    make, oracle, sources = WINDOW_POLICIES[name]
+    weight = data.draw(st.floats(0.0, 1.0), label="weight")
+    policy = make(weight)
     horizon = 3_000
     hold = data.draw(st.integers(1, 900), label="hold")
     max_wait = data.draw(st.integers(0, 1_200), label="max_wait")
     granularity = data.draw(st.sampled_from([1, 5, 15, 30]), label="granularity")
     num_jobs = data.draw(st.integers(1, 8), label="num_jobs")
-    arrivals = np.sort(
-        np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(0, horizon - hold),
-                    min_size=num_jobs,
-                    max_size=num_jobs,
-                ),
-                label="arrivals",
-            ),
-            dtype=np.int64,
+    arrivals = sorted(
+        data.draw(
+            st.lists(st.integers(0, horizon - hold), min_size=num_jobs, max_size=num_jobs),
+            label="arrivals",
         )
     )
-    view_seed = data.draw(st.integers(0, 2**31 - 1), label="view_seed")
-    # Stand-in for window_sums(hold): one score per feasible start minute.
-    view = np.random.default_rng(view_seed).uniform(0.0, 500.0, horizon - hold + 1)
+    # One score per feasible start minute, as window_view(hold) gives.
+    views = {
+        "carbon": _draw_view(data, horizon - hold + 1, signed=False, label="carbon"),
+        "price": _draw_view(data, horizon - hold + 1, signed=True, label="price"),
+    }
+    queue = JobQueue(name="q", max_length=hold, max_wait=max_wait, avg_length=float(hold))
+    ctx = SchedulingContext(
+        forecaster=_ViewForecaster(views["carbon"], hold),
+        queues=QueueSet((queue,)),
+        carbon_horizon=horizon,
+        granularity=granularity,
+        price_forecaster=_ViewForecaster(views["price"], hold),
+    )
+    jobs = [
+        Job(job_id=i, arrival=arrival, length=hold, cpus=1, queue="q")
+        for i, arrival in enumerate(arrivals)
+    ]
 
-    batch = candidate_batch(arrivals, max_wait, hold, horizon, granularity)
-    chosen = arrivals.copy()
-    if batch.index.size:
-        footprints = view[batch.starts]
-        tolerance = 1e-9 * np.maximum(1.0, segment_max(footprints, batch))
-        within = footprints <= batch.expand(segment_min(footprints, batch) + tolerance)
-        best = segment_first_where(within, batch)
-        chosen[batch.index] = batch.starts[best]
-
-    for i, arrival in enumerate(arrivals.tolist()):
-        starts = _scalar_starts(arrival, max_wait, hold, horizon, granularity)
-        assert bool(batch.single[i]) == (starts.size == 1)
+    batched = policy.decide_many(jobs, ctx)
+    for job, decision in zip(jobs, batched, strict=True):
+        starts = _scalar_starts(job.arrival, max_wait, hold, horizon, granularity)
         if starts.size == 1:
             expected = int(starts[0])
         else:
-            footprints = view[starts]
-            tolerance = 1e-9 * max(1.0, float(np.max(footprints)))
-            first = int(np.flatnonzero(footprints <= footprints.min() + tolerance)[0])
-            expected = int(starts[first])
-        assert int(chosen[i]) == expected
+            windows = [views[source][starts] for source in sources]
+            expected = oracle(starts, windows, job.arrival, hold, weight)
+        assert policy.decide(job, ctx).start_time == expected
+        assert decision.start_time == expected
 
     # The flat grids themselves must match the scalar grids exactly.
+    batch = candidate_batch(np.asarray(arrivals), max_wait, hold, horizon, granularity)
     if batch.index.size:
         flat = np.concatenate(
             [
-                _scalar_starts(int(arrivals[i]), max_wait, hold, horizon, granularity)
+                _scalar_starts(arrivals[i], max_wait, hold, horizon, granularity)
                 for i in batch.index.tolist()
             ]
         )

@@ -193,17 +193,6 @@ class TestResolveJobs:
             resolve_jobs(0)
 
 
-class TestDecisionMemoization:
-    def test_memoized_run_is_digest_identical(self, workload, carbon_trace):
-        plain = run_simulation(
-            workload, carbon_trace, "carbon-time", memoize_decisions=False
-        )
-        memoized = run_simulation(
-            workload, carbon_trace, "carbon-time", memoize_decisions=True
-        )
-        assert plain.digest() == memoized.digest()
-
-
 class TestUnfinishedJobsMessage:
     @staticmethod
     def _run_with_dropped_finishes(monkeypatch, num_jobs):
@@ -222,10 +211,10 @@ class TestUnfinishedJobsMessage:
                 region_trace("SA-AU"),
                 "nowait",
                 validate=False,
-                # The linear fast path never routes through _on_finish;
-                # the unfinished-jobs guard under test lives on the
-                # event-loop paths.
-                fast_path=False,
+                # A reserved pool keeps the run on the event loop (the
+                # contention-free linear path never routes through
+                # _on_finish), where the unfinished-jobs guard lives.
+                reserved_cpus=1,
             )
         return str(excinfo.value)
 

@@ -1,6 +1,7 @@
 """Documentation stays wired: links resolve, no orphan pages, the
-observability contract's schema matches what the docs enumerate, and
-the service API reference matches the live route table and CLI."""
+observability contract's schema matches what the docs enumerate, the
+service API reference matches the live route table and CLI, and the
+private symbols and keywords the docs name exist in the code."""
 
 import sys
 from pathlib import Path
@@ -21,6 +22,23 @@ class TestLinks:
 
     def test_every_docs_page_is_linked_from_the_readme(self):
         assert check_docs.check_docs_reachable() == []
+
+
+class TestDocSymbols:
+    def test_docs_name_only_symbols_the_code_defines(self):
+        assert check_docs.check_doc_symbols() == []
+
+    def test_a_page_naming_removed_symbols_is_rejected(self, tmp_path):
+        page = tmp_path / "stale.md"
+        page.write_text(
+            "The memo counters stay equal via `_precomputed_fresh`; pass\n"
+            "`fast_path=False` to force the scalar loop. `_run_linear` and\n"
+            "`granularity=1` and the `_on_*` handlers still exist.\n"
+        )
+        problems = check_docs.check_doc_symbols([page])
+        assert len(problems) == 2
+        assert "`_precomputed_fresh`" in problems[0]
+        assert "`fast_path=`" in problems[1]
 
 
 class TestObservabilityContract:

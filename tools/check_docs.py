@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Documentation checks: internal links resolve, docs are reachable,
-the service API reference matches the code, quickstart commands run.
+the service API reference matches the code, code symbols the docs name
+exist, quickstart commands run.
 
-Four checks (all gate the CI ``docs`` job):
+Five checks (all gate the CI ``docs`` job):
 
 1. every relative markdown link in ``README.md`` and ``docs/*.md``
    points at a file that exists (anchors and external URLs are skipped);
@@ -14,7 +15,12 @@ Four checks (all gate the CI ``docs`` job):
    the route table; every ``python -m repro.service`` parser flag
    appears in the flag reference and every documented flag exists on
    the parser;
-4. with ``--run-quickstart``, the commands the README advertises respond
+4. every backticked private identifier (`` `_name` ``, `` `_name()` ``,
+   `` `_on_*` ``) and keyword argument (`` `name=` ``, `` `name=value` ``)
+   in ``docs/*.md`` names something defined under ``src/repro`` -- a
+   function, class, parameter, or assigned name or attribute, found by
+   an AST scan -- so a page cannot describe a symbol the code dropped;
+5. with ``--run-quickstart``, the commands the README advertises respond
    to ``--help`` (a dry-run proof the documented entry points exist).
 
 Run from the repo root: ``python tools/check_docs.py [--run-quickstart]``.
@@ -24,6 +30,8 @@ Exits non-zero with one ``path: message`` line per problem.
 from __future__ import annotations
 
 import argparse
+import ast
+import fnmatch
 import os
 import re
 import subprocess
@@ -154,6 +162,58 @@ def check_service_api() -> list[str]:
     return problems
 
 
+#: Backticked private identifiers: `_name`, `_name()`, `_on_*`.
+_PRIVATE_SYMBOL = re.compile(r"`(_[A-Za-z][A-Za-z0-9_]*\*?)(?:\(\))?`")
+
+#: Backticked keyword arguments: `name=` or `name=value` (lowercase, so
+#: environment assignments such as `REPRO_TRACE=1` are not keywords).
+_KEYWORD_SYMBOL = re.compile(r"`([a-z_][a-z0-9_]*)=[^`]*`")
+
+
+def defined_names() -> set[str]:
+    """Every name a module under ``src/repro`` defines.
+
+    Functions, classes, parameters, and every name or attribute stored
+    to (assignments, loop and ``with`` targets, dataclass fields).
+    """
+    names: set[str] = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def check_doc_symbols(pages: list[Path] | None = None) -> list[str]:
+    """Problem messages for private symbols and keywords the code lacks.
+
+    ``pages`` defaults to every page under ``docs/``.
+    """
+    if pages is None:
+        pages = sorted((REPO_ROOT / "docs").glob("*.md"))
+    defined = defined_names()
+    problems = []
+    for page in pages:
+        text = page.read_text(encoding="utf-8")
+        shown = page.relative_to(REPO_ROOT) if page.is_relative_to(REPO_ROOT) else page
+        for symbol in sorted(set(_PRIVATE_SYMBOL.findall(text))):
+            if not fnmatch.filter(defined, symbol):
+                problems.append(f"{shown}: names `{symbol}`, which src/repro does not define")
+        for keyword in sorted(set(_KEYWORD_SYMBOL.findall(text))):
+            if keyword not in defined:
+                problems.append(
+                    f"{shown}: names keyword `{keyword}=`, which no src/repro "
+                    "function or field takes"
+                )
+    return problems
+
+
 def check_quickstart() -> list[str]:
     """Problem messages for advertised commands that fail ``--help``."""
     env = dict(os.environ)
@@ -181,7 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     pages = doc_pages()
-    problems = check_links(pages) + check_docs_reachable() + check_service_api()
+    problems = (
+        check_links(pages) + check_docs_reachable() + check_service_api() + check_doc_symbols()
+    )
     if args.run_quickstart:
         problems += check_quickstart()
 
