@@ -363,9 +363,9 @@ class BackendOpened(Event):
     """A sweep backend acquired its execution resources.
 
     Emitted by ``run_many`` once per batch that dispatches work;
-    ``backend`` is the registered backend name (``"serial"``,
-    ``"pool"``, ``"workqueue"``, ...) and ``workers`` the parallelism it
-    was opened with (already capped at the distinct-spec count).
+    ``backend`` is the backend name (``"serial"`` or ``"pool"``) and
+    ``workers`` the parallelism it was opened with (already capped at
+    the distinct-spec count).
     """
 
     type: ClassVar[str] = "runner.backend.opened"

@@ -4,10 +4,10 @@ The runner turns the experiment layer's ``run_simulation`` loops into
 declarative sweeps: build :class:`SimulationSpec` values (frozen,
 hashable, picklable descriptions of single runs), submit the whole grid
 to :func:`run_many`, and let the runner deduplicate, consult the
-content-addressed :class:`ResultCache`, and dispatch the rest to a
-pluggable :class:`SweepBackend` (``serial``, ``pool``, ``workqueue``).
-:class:`Campaign` persists a sweep to a journaled directory so it can
-be resumed after any interruption
+content-addressed :class:`ResultCache`, and dispatch the rest to one
+of the two :data:`BACKENDS` (``serial`` in-process, or a ``pool`` of
+worker processes).  :class:`Campaign` persists a sweep to a journaled
+directory so it can be resumed after any interruption
 (``python -m repro.simulator.runner resume <dir>``).  See
 ``docs/performance.md`` for the architecture and cache-keying details
 and ``docs/sweeps.md`` for backends and campaigns.
@@ -16,14 +16,12 @@ and ``docs/sweeps.md`` for backends and campaigns.
 from __future__ import annotations
 
 from repro.simulator.runner.backends import (
+    BACKENDS,
     AttemptOutcome,
     BackendContext,
     PoolBackend,
     SerialBackend,
     SweepBackend,
-    available_backends,
-    create_backend,
-    register_backend,
 )
 from repro.simulator.runner.cache import (
     ResultCache,
@@ -44,7 +42,6 @@ from repro.simulator.runner.execute import (
     run_many,
 )
 from repro.simulator.runner.spec import FrozenSeries, FrozenWorkload, SimulationSpec
-from repro.simulator.runner.workqueue import WorkQueueBackend
 
 __all__ = [
     "SimulationSpec",
@@ -63,15 +60,12 @@ __all__ = [
     "code_version_salt",
     "default_cache",
     "reset_default_cache",
+    "BACKENDS",
     "SweepBackend",
     "SerialBackend",
     "PoolBackend",
-    "WorkQueueBackend",
     "AttemptOutcome",
     "BackendContext",
-    "register_backend",
-    "create_backend",
-    "available_backends",
     "Campaign",
     "CampaignReport",
 ]

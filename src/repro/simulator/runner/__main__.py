@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from repro.simulator.runner.backends import available_backends
+from repro.simulator.runner.backends import BACKENDS
 from repro.simulator.runner.campaign import Campaign
 from repro.simulator.runner.execute import RunStats
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--backend",
-        choices=available_backends(),
+        choices=sorted(BACKENDS),
         default=None,
         help="execution backend (default: $REPRO_BACKEND or the jobs/timeout heuristic)",
     )

@@ -1,4 +1,4 @@
-"""Pluggable execution substrates for the sweep runner.
+"""Execution substrates for the sweep runner.
 
 A :class:`SweepBackend` is the seam between *what* a sweep runs
 (picklable :class:`~repro.simulator.runner.spec.SimulationSpec` values)
@@ -7,10 +7,9 @@ small -- ``open`` / ``submit`` / ``poll`` / ``cancel`` / ``shutdown`` --
 so the recovery semantics layered on top (retries with backoff, timeout
 charging, failure reports, partial results) live once, in the
 backend-agnostic dispatch loop of
-:mod:`repro.simulator.runner.execute`, and every registered backend
-inherits them.
+:mod:`repro.simulator.runner.execute`, and both backends inherit them.
 
-Three backends register here or on import of their module:
+:data:`BACKENDS` holds the two backends by name:
 
 * ``serial`` -- in-process execution, one attempt per poll.  No process
   isolation: a spec that hangs or kills the process takes the caller
@@ -20,14 +19,10 @@ Three backends register here or on import of their module:
   in-flight suspects one at a time ("solo isolation", surfaced to the
   dispatch loop as exclusive requeues) so only the spec that actually
   crashes is charged.
-* ``workqueue`` (:mod:`repro.simulator.runner.workqueue`) -- a
-  file-based work queue where independent worker processes claim specs
-  via atomic renames and share the promoted disk result cache.
 
-New backends register with :func:`register_backend`; the conformance
-suite (``tests/simulator/test_backends.py``) certifies every registered
-name against the same digest/accounting/recovery assertions -- see
-``docs/sweeps.md``.
+The conformance suite (``tests/simulator/test_backends.py``) certifies
+every name in :data:`BACKENDS` against the same digest/accounting/
+recovery assertions -- see ``docs/sweeps.md``.
 """
 
 from __future__ import annotations
@@ -58,9 +53,6 @@ __all__ = [
     "PoolBackend",
     "WorkerCrash",
     "BACKENDS",
-    "register_backend",
-    "create_backend",
-    "available_backends",
     "resolve_backend_name",
     "execution_count",
 ]
@@ -137,14 +129,11 @@ class BackendContext:
     """Everything a backend may need at :meth:`SweepBackend.open` time.
 
     ``workers`` is the parallelism the sweep resolved (already capped at
-    the number of distinct specs); ``cache_dir`` is the promoted disk
-    result-cache directory shared across worker processes, or ``None``
-    when the sweep runs without a disk cache.
+    the number of distinct specs).
     """
 
     workers: int
     tracer: Tracer = NULL_TRACER
-    cache_dir: str | None = None
 
 
 class SweepBackend:
@@ -160,8 +149,6 @@ class SweepBackend:
     charging to the dispatch loop.
     """
 
-    #: Registry name; subclasses override.
-    name = "abstract"
     #: Whether :meth:`cancel` can abandon a running attempt -- required
     #: to enforce per-execution timeouts.
     supports_timeout = False
@@ -171,7 +158,7 @@ class SweepBackend:
         self.respawns = 0
 
     def open(self, context: BackendContext) -> None:
-        """Acquire execution resources (processes, directories)."""
+        """Acquire execution resources (worker processes)."""
         raise NotImplementedError
 
     def capacity(self) -> int | None:
@@ -207,38 +194,6 @@ class SweepBackend:
         raise NotImplementedError
 
 
-#: Registry of backend name -> class (see :func:`register_backend`).
-BACKENDS: dict[str, type[SweepBackend]] = {}
-
-
-def register_backend(backend_class: type[SweepBackend]) -> type[SweepBackend]:
-    """Class decorator registering a backend under its ``name``.
-
-    Registered names are accepted by ``run_many(backend=...)``,
-    ``$REPRO_BACKEND``, and the campaign CLI -- and are picked up by the
-    backend-conformance test suite, which certifies every registered
-    backend against the shared contract.
-    """
-    BACKENDS[backend_class.name] = backend_class
-    return backend_class
-
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(BACKENDS))
-
-
-def create_backend(name: str) -> SweepBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        backend_class = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(available_backends())
-        raise ConfigError(f"unknown sweep backend {name!r} (known: {known})") from None
-    return backend_class()
-
-
-@register_backend
 class SerialBackend(SweepBackend):
     """In-process execution: one attempt per poll, in submission order.
 
@@ -249,7 +204,6 @@ class SerialBackend(SweepBackend):
     waits out its gate.
     """
 
-    name = "serial"
     supports_timeout = False
 
     def __init__(self) -> None:
@@ -257,8 +211,7 @@ class SerialBackend(SweepBackend):
         self._queue: deque[tuple[int, SimulationSpec]] = deque()
 
     def open(self, context: BackendContext) -> None:
-        """Nothing to acquire; the context is kept for symmetry."""
-        self._context = context
+        """Nothing to acquire: attempts run in the calling process."""
 
     def capacity(self) -> int | None:
         """Unbounded: submissions just queue in order."""
@@ -286,7 +239,6 @@ class SerialBackend(SweepBackend):
         self._queue.clear()
 
 
-@register_backend
 class PoolBackend(SweepBackend):
     """The fault-tolerant ``ProcessPoolExecutor`` substrate.
 
@@ -299,7 +251,6 @@ class PoolBackend(SweepBackend):
     the spec that crashes alone is charged.
     """
 
-    name = "pool"
     supports_timeout = True
 
     def __init__(self) -> None:
@@ -446,6 +397,14 @@ def _abandon_pool(executor: ProcessPoolExecutor) -> None:
             pass
 
 
+#: Backend name -> class: the values ``run_many(backend=...)``,
+#: ``$REPRO_BACKEND`` and the campaign CLI's ``--backend`` accept.
+BACKENDS: dict[str, type[SweepBackend]] = {
+    "serial": SerialBackend,
+    "pool": PoolBackend,
+}
+
+
 def resolve_backend_name(
     backend: str | None = None,
     jobs: int = 1,
@@ -466,6 +425,6 @@ def resolve_backend_name(
     if backend is None:
         backend = "serial" if (jobs == 1 and timeout is None) else "pool"
     if backend not in BACKENDS:
-        known = ", ".join(available_backends())
+        known = ", ".join(sorted(BACKENDS))
         raise ConfigError(f"unknown sweep backend {backend!r} (known: {known})")
     return backend

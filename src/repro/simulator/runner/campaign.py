@@ -21,8 +21,8 @@ of completed work:
   the digest back to pending).
 
 Resume = load the spec list, replay the journal, and hand only the
-still-incomplete distinct digests to :func:`run_many` -- on any
-registered backend.  The PR 4 recovery semantics (retries, timeouts,
+still-incomplete distinct digests to :func:`run_many` -- on either
+backend.  The sweep recovery semantics (retries, timeouts,
 partial results, :class:`~repro.errors.SweepError`) apply unchanged
 because the campaign layer sits entirely above the backend seam.  A
 ``campaign.lock`` file (``flock``) makes concurrent runs of the same

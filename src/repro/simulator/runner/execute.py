@@ -2,15 +2,14 @@
 
 :func:`run_many` is the sweep primitive every experiment builds on.  It
 deduplicates identical specs within a batch, consults the result cache,
-and dispatches the remainder to a pluggable
+and dispatches the remainder to a
 :class:`~repro.simulator.runner.backends.SweepBackend` -- ``serial``
-(in-process), ``pool`` (fault-tolerant ``ProcessPoolExecutor``), or
-``workqueue`` (file-based multi-process queue sharing the disk cache) --
+(in-process) or ``pool`` (fault-tolerant ``ProcessPoolExecutor``) --
 selected by argument, ``$REPRO_BACKEND``, or the historical heuristic
 (``serial`` for ``jobs=1`` with no timeout, ``pool`` otherwise).
 
 The recovery semantics are *backend-agnostic* -- they live in the
-dispatch loop here, so every backend inherits them and the conformance
+dispatch loop here, so both backends inherit them and the conformance
 suite (``tests/simulator/test_backends.py``) certifies each one against
 the same contract (``docs/robustness.md`` and ``docs/sweeps.md`` have
 the narrative):
@@ -59,11 +58,11 @@ from repro.obs.metrics import MetricsRegistry, aggregate_metrics
 from repro.obs.tracer import Tracer, tracer_from_env
 from repro.simulator.results import SimulationResult
 from repro.simulator.runner.backends import (
+    BACKENDS,
     AttemptOutcome,
     BackendContext,
     SweepBackend,
     WorkerCrash,
-    create_backend,
     execution_count,
     resolve_backend_name,
 )
@@ -85,15 +84,6 @@ __all__ = [
 #: Callback fired once per distinct spec digest whose result became
 #: available (cache hit at planning time, or execution completing).
 OnResult = Callable[[int, SimulationSpec, SimulationResult], None]
-
-
-def _load_builtin_backends() -> None:
-    """Import the backend modules that register themselves on import.
-
-    Lazy (called from :func:`run_many`) so a direct import of this
-    module never recurses through the package ``__init__``.
-    """
-    import repro.simulator.runner.workqueue  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -122,12 +112,13 @@ class RunStats:
     exhaust recovery land in ``failures`` (one :class:`SpecFailure` per
     failed slot, aliases included) and are counted by ``failed``;
     ``retries``/``timeouts``/``pool_respawns`` count the recovery
-    machinery's work (``pool_respawns`` counts worker replacements on
-    every backend, not just the pool).  ``backend`` names the execution
-    substrate the batch dispatched to.  ``metrics`` is the batch's
-    aggregated observability snapshot (see :mod:`repro.obs.metrics`):
-    the runner's own counters and per-execution wall-time histogram
-    merged with the engine metrics of every distinct result.
+    machinery's work (``pool_respawns`` counts worker-pool replacements
+    by the ``pool`` backend; ``serial`` never respawns).  ``backend``
+    names the execution substrate the batch dispatched to.  ``metrics``
+    is the batch's aggregated observability snapshot (see
+    :mod:`repro.obs.metrics`): the runner's own counters and
+    per-execution wall-time histogram merged with the engine metrics of
+    every distinct result.
     """
 
     total: int = 0
@@ -455,10 +446,9 @@ def run_many(
         and the failure report.  ``"partial"``: return the results list
         with ``None`` in failed slots; inspect ``stats.failures``.
     backend:
-        Execution substrate name (``"serial"``, ``"pool"``,
-        ``"workqueue"``, or any registered backend); ``None`` reads
-        ``$REPRO_BACKEND`` and falls back to the jobs/timeout heuristic.
-        See ``docs/sweeps.md`` for the backend matrix.
+        Execution substrate name, ``"serial"`` or ``"pool"``; ``None``
+        reads ``$REPRO_BACKEND`` and falls back to the jobs/timeout
+        heuristic.  See ``docs/sweeps.md`` for the backend matrix.
     on_result:
         Streaming completion hook, called once per *distinct* spec
         digest as soon as its result is available -- for cache hits
@@ -466,13 +456,12 @@ def run_many(
         batch finishes.  Campaign journaling builds on this.  Aliased
         (deduplicated) slots do not trigger extra calls.
     """
-    _load_builtin_backends()
     spec_list = list(specs)
     jobs = resolve_jobs(jobs)
     retries = resolve_retries(retries)
     timeout = resolve_timeout(timeout)
     backend_name = resolve_backend_name(backend, jobs=jobs, timeout=timeout)
-    if timeout is not None and not _backend_class(backend_name).supports_timeout:
+    if timeout is not None and not BACKENDS[backend_name].supports_timeout:
         raise ConfigError(
             f"backend {backend_name!r} cannot enforce per-execution timeouts"
         )
@@ -530,17 +519,8 @@ def run_many(
             on_result(index, spec_list[index], result)
 
     if to_run:
-        active_backend = create_backend(backend_name)
+        active_backend = BACKENDS[backend_name]()
         workers = min(jobs, len(to_run))
-        context = BackendContext(
-            workers=workers,
-            tracer=tracer,
-            cache_dir=(
-                str(active_cache.disk_dir)
-                if active_cache is not None and active_cache.disk_dir is not None
-                else None
-            ),
-        )
         if tracer.enabled:
             tracer.emit(BackendOpened(backend=backend_name, workers=workers))
         dispatcher = _Dispatcher(
@@ -553,7 +533,7 @@ def run_many(
             tracer=tracer,
             on_complete=_stream if on_result is not None else None,
         )
-        active_backend.open(context)
+        active_backend.open(BackendContext(workers=workers, tracer=tracer))
         try:
             dispatcher.run()
         finally:
@@ -636,13 +616,6 @@ def run_many(
             failures=failures,
         )
     return results  # type: ignore[return-value]  # None only in 'partial' failed slots
-
-
-def _backend_class(name: str) -> type[SweepBackend]:
-    """The registered backend class for ``name`` (resolution validated)."""
-    from repro.simulator.runner.backends import BACKENDS
-
-    return BACKENDS[name]
 
 
 def _batch_metrics(

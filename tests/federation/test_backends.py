@@ -1,7 +1,7 @@
 """Backend conformance for federated specs.
 
 ``FederatedSpec`` is a first-class ``run_many`` citizen: every
-registered backend must produce digest parity with direct execution,
+backend must produce digest parity with direct execution,
 dedup in-batch duplicates, and execute zero engines on a warm cache --
 the same contract ``tests/simulator/test_backends.py`` pins for plain
 simulation specs.
@@ -17,15 +17,15 @@ from repro.federation import FederatedRegion, FederatedResult, FederatedSpec
 from repro.simulator.runner import (
     ResultCache,
     RunStats,
-    available_backends,
     execution_count,
     run_many,
 )
+from repro.simulator.runner.backends import BACKENDS
 from repro.workload.job import Job
 from repro.workload.trace import WorkloadTrace
 
 
-@pytest.fixture(params=sorted(available_backends()))
+@pytest.fixture(params=sorted(BACKENDS))
 def backend(request):
     return request.param
 

@@ -65,8 +65,8 @@ SAMPLES = [
     SpecFailed(index=3, digest_prefix="a1b2c3d4e5f6", error_type="TimeoutError",
                message="execution exceeded 2s", attempts=2),
     PoolRespawned(reason="broken", respawns=1),
-    BackendOpened(backend="workqueue", workers=4),
-    BackendClosed(backend="workqueue", executed=16, respawns=2),
+    BackendOpened(backend="pool", workers=4),
+    BackendClosed(backend="pool", executed=16, respawns=2),
     CampaignCreated(name="sweep-fig8", total=96, distinct=48),
     CampaignResumed(name="sweep-fig8", completed=20, remaining=28),
     CampaignCompleted(name="sweep-fig8", executed=28, failed=0, remaining=0),

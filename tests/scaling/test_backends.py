@@ -10,13 +10,13 @@ from repro.scaling import AmdahlSpeedup, MalleableJob, ScalingResult, ScalingSpe
 from repro.simulator.runner import (
     ResultCache,
     RunStats,
-    available_backends,
     execution_count,
     run_many,
 )
+from repro.simulator.runner.backends import BACKENDS
 
 
-@pytest.fixture(params=sorted(available_backends()))
+@pytest.fixture(params=sorted(BACKENDS))
 def backend(request):
     return request.param
 

@@ -1,12 +1,12 @@
-"""Backend-conformance suite: one contract, every registered backend.
+"""Backend-conformance suite: one contract, both backends.
 
 ``run_many``'s guarantees -- digest parity with direct execution,
 in-batch dedup, warm-cache zero-execution, retry/timeout/partial-result
 recovery, fault-plan reproducibility, and the 16-spec/2-poisoned
-acceptance scenario -- are asserted here against *every* registered
-:class:`~repro.simulator.runner.backends.SweepBackend`, via one
-parametrized fixture.  A future backend inherits the full guarantee set
-by registering itself: the suite picks it up automatically.
+acceptance scenario -- are asserted here against every
+:class:`~repro.simulator.runner.backends.SweepBackend` in
+:data:`~repro.simulator.runner.backends.BACKENDS`, via one parametrized
+fixture.  A backend added to that table inherits the full guarantee set.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from repro.simulator.runner import (
     ResultCache,
     RunStats,
     SimulationSpec,
-    available_backends,
     execution_count,
     run_many,
 )
+from repro.simulator.runner.__main__ import main as runner_cli
 from repro.simulator.runner.backends import BACKENDS
 from repro.workload.job import Job
 from repro.workload.trace import WorkloadTrace
@@ -34,9 +34,9 @@ from repro.workload.trace import WorkloadTrace
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 
-@pytest.fixture(params=sorted(available_backends()))
+@pytest.fixture(params=sorted(BACKENDS))
 def backend(request):
-    """Every registered backend name -- the conformance axis."""
+    """Every backend name -- the conformance axis."""
     return request.param
 
 
@@ -79,7 +79,7 @@ class TestResultParity:
         digests_by_backend = {}
         accounting_by_backend = {}
         counters_by_backend = {}
-        for name in sorted(available_backends()):
+        for name in sorted(BACKENDS):
             stats = RunStats()
             results = run_many(
                 specs, jobs=2, use_cache=False, stats=stats, backend=name
@@ -248,6 +248,24 @@ class TestBackendSelection:
     def test_unknown_backend_is_rejected(self, workload, carbon):
         with pytest.raises(ConfigError):
             run_many([make_spec(workload, carbon)], backend="telepathy")
+
+    def test_removed_backend_name_is_rejected_everywhere(
+        self, workload, carbon, monkeypatch, capsys
+    ):
+        """The argument, ``$REPRO_BACKEND`` and the campaign CLI accept
+        exactly the two live names; the retired third one is refused."""
+        removed = "workqueue"
+        spec = make_spec(workload, carbon)
+        with pytest.raises(ConfigError, match=r"known: pool, serial\)"):
+            run_many([spec], use_cache=False, backend=removed)
+        monkeypatch.setenv("REPRO_BACKEND", removed)
+        with pytest.raises(ConfigError, match=r"known: pool, serial\)"):
+            run_many([spec], use_cache=False)
+        monkeypatch.delenv("REPRO_BACKEND")
+        with pytest.raises(SystemExit) as excinfo:
+            runner_cli(["resume", "unused-dir", "--backend", removed])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
 
     def test_serial_cannot_enforce_timeouts(self, workload, carbon):
         with pytest.raises(ConfigError):

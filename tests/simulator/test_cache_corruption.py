@@ -116,8 +116,8 @@ def test_memory_layer_untouched_by_disk_corruption(tmp_path, tiny_workload, flat
 def test_interleaved_writers_and_readers_never_tear(tmp_path, shared_result):
     """Concurrent put/get on one key: atomic publication means readers
     observe either a complete valid entry or a miss -- never a torn
-    pickle, never an exception (the workqueue backend's shared-cache
-    protocol depends on exactly this)."""
+    pickle, never an exception (two sweeps sharing one disk cache stay
+    correct because of exactly this)."""
     import threading
 
     stop = threading.Event()

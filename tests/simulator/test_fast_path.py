@@ -239,29 +239,19 @@ def _draw_view(data, size: int, signed: bool, label: str) -> np.ndarray:
     return rng.uniform(low, 500.0, size)
 
 
-@given(data=st.data())
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_batched_window_scoring_matches_scalar(data):
-    name = data.draw(st.sampled_from(sorted(WINDOW_POLICIES)), label="policy")
+def _assert_rule_matches_oracle(
+    name: str,
+    weight: float,
+    views: dict[str, np.ndarray],
+    hold: int,
+    max_wait: int,
+    granularity: int,
+    arrivals: list[int],
+    horizon: int,
+) -> None:
+    """One-job ``decide`` and batched ``decide_many`` both equal the oracle."""
     make, oracle, sources = WINDOW_POLICIES[name]
-    weight = data.draw(st.floats(0.0, 1.0), label="weight")
     policy = make(weight)
-    horizon = 3_000
-    hold = data.draw(st.integers(1, 900), label="hold")
-    max_wait = data.draw(st.integers(0, 1_200), label="max_wait")
-    granularity = data.draw(st.sampled_from([1, 5, 15, 30]), label="granularity")
-    num_jobs = data.draw(st.integers(1, 8), label="num_jobs")
-    arrivals = sorted(
-        data.draw(
-            st.lists(st.integers(0, horizon - hold), min_size=num_jobs, max_size=num_jobs),
-            label="arrivals",
-        )
-    )
-    # One score per feasible start minute, as window_view(hold) gives.
-    views = {
-        "carbon": _draw_view(data, horizon - hold + 1, signed=False, label="carbon"),
-        "price": _draw_view(data, horizon - hold + 1, signed=True, label="price"),
-    }
     queue = JobQueue(name="q", max_length=hold, max_wait=max_wait, avg_length=float(hold))
     ctx = SchedulingContext(
         forecaster=_ViewForecaster(views["carbon"], hold),
@@ -286,6 +276,32 @@ def test_batched_window_scoring_matches_scalar(data):
         assert policy.decide(job, ctx).start_time == expected
         assert decision.start_time == expected
 
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_batched_window_scoring_matches_scalar(data):
+    name = data.draw(st.sampled_from(sorted(WINDOW_POLICIES)), label="policy")
+    weight = data.draw(st.floats(0.0, 1.0), label="weight")
+    horizon = 3_000
+    hold = data.draw(st.integers(1, 900), label="hold")
+    max_wait = data.draw(st.integers(0, 1_200), label="max_wait")
+    granularity = data.draw(st.sampled_from([1, 5, 15, 30]), label="granularity")
+    num_jobs = data.draw(st.integers(1, 8), label="num_jobs")
+    arrivals = sorted(
+        data.draw(
+            st.lists(st.integers(0, horizon - hold), min_size=num_jobs, max_size=num_jobs),
+            label="arrivals",
+        )
+    )
+    # One score per feasible start minute, as window_view(hold) gives.
+    views = {
+        "carbon": _draw_view(data, horizon - hold + 1, signed=False, label="carbon"),
+        "price": _draw_view(data, horizon - hold + 1, signed=True, label="price"),
+    }
+    _assert_rule_matches_oracle(
+        name, weight, views, hold, max_wait, granularity, arrivals, horizon
+    )
+
     # The flat grids themselves must match the scalar grids exactly.
     batch = candidate_batch(np.asarray(arrivals), max_wait, hold, horizon, granularity)
     if batch.index.size:
@@ -296,6 +312,60 @@ def test_batched_window_scoring_matches_scalar(data):
             ]
         )
         np.testing.assert_array_equal(batch.starts, flat)
+
+
+def _edge_views(carbon: list[float], price: list[float], arrivals: list[int],
+                hold: int, horizon: int) -> dict[str, np.ndarray]:
+    """Flat views with the given per-candidate scores at every arrival.
+
+    Candidates sit ``hold`` minutes apart (granularity = hold), so entry
+    ``k`` of ``carbon``/``price`` is the score of starting at
+    ``arrival + k * hold``; every other start scores like the arrival.
+    """
+    views = {
+        "carbon": np.full(horizon - hold + 1, carbon[0]),
+        "price": np.full(horizon - hold + 1, price[0]),
+    }
+    for arrival in arrivals:
+        for k in range(len(carbon)):
+            views["carbon"][arrival + k * hold] = carbon[k]
+            views["price"][arrival + k * hold] = price[k]
+    return views
+
+
+#: Hand-built selection-rule edges the random views almost never hit.
+#: Each row: policy, carbon weight, per-candidate carbon and price scores.
+RULE_EDGES = {
+    # Carbon-Time: the CST rule picks the first later start (saving
+    # 9e-4 g), but that saving is within the 1e-9 * immediate tolerance
+    # (1e-3 g), so the job must fall back to its arrival.
+    "carbon-time-noise-saving": (
+        "carbon-time", 1.0, [1e6, 1e6 - 9e-4, 1e6 - 3.6e-3], [1.0, 1.0, 1.0]
+    ),
+    # Carbon-Price: an immediate carbon of magnitude <= 1e-12 must not be
+    # used as the normalizing anchor (the series stays as is).
+    "carbon-price-tiny-carbon-anchor": (
+        "carbon-price", 0.5, [1e-13, 2e-13, 1.0], [100.0, 50.0, 100.0]
+    ),
+    # Carbon-Price: the same for a tiny negative immediate price.
+    "carbon-price-tiny-price-anchor": (
+        "carbon-price", 0.5, [100.0, 50.0, 100.0], [-5e-13, 5e-12, 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(RULE_EDGES))
+def test_selection_rule_edges_match_oracle(edge):
+    name, weight, carbon, price = RULE_EDGES[edge]
+    hold, horizon = 60, 1_000
+    arrivals = [0, 300]
+    views = _edge_views(carbon, price, arrivals, hold, horizon)
+    max_wait = (len(carbon) - 1) * hold
+    # decide is checked per job; decide_many on a batch of one and of two.
+    for jobs in ([arrivals[0]], arrivals):
+        _assert_rule_matches_oracle(
+            name, weight, views, hold, max_wait, hold, jobs, horizon
+        )
 
 
 @given(

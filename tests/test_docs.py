@@ -1,7 +1,8 @@
 """Documentation stays wired: links resolve, no orphan pages, the
 observability contract's schema matches what the docs enumerate, the
 service API reference matches the live route table and CLI, and the
-private symbols and keywords the docs name exist in the code."""
+private symbols, keywords and dotted ``repro.*`` references the docs
+name exist in the code."""
 
 import sys
 from pathlib import Path
@@ -39,6 +40,27 @@ class TestDocSymbols:
         assert len(problems) == 2
         assert "`_precomputed_fresh`" in problems[0]
         assert "`fast_path=`" in problems[1]
+
+
+class TestDottedReferences:
+    def test_docs_dotted_references_resolve(self):
+        assert check_docs.check_dotted_references() == []
+
+    def test_a_page_naming_a_removed_module_is_rejected(self, tmp_path):
+        page = tmp_path / "stale.md"
+        page.write_text(
+            "Sweeps fan out via `repro.simulator.runner.workqueue.WorkQueueBackend`\n"
+            "or `repro.simulator.runner.backends.BACKENDS`; see\n"
+            "`repro.experiments.base.sweep(specs)` and `repro.simulator.session`.\n"
+            "`repro.simulator.runner.backends.available_backends()` lists them.\n"
+        )
+        problems = check_docs.check_dotted_references([page])
+        assert problems == [
+            f"{page}: names `repro.simulator.runner.backends.available_backends`, "
+            "which does not resolve",
+            f"{page}: names `repro.simulator.runner.workqueue.WorkQueueBackend`, "
+            "which does not resolve",
+        ]
 
 
 class TestObservabilityContract:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Documentation checks: internal links resolve, docs are reachable,
-the service API reference matches the code, code symbols the docs name
-exist, quickstart commands run.
+the service API reference matches the code, code symbols and dotted
+``repro.*`` references the docs name exist, quickstart commands run.
 
-Five checks (all gate the CI ``docs`` job):
+Six checks (all gate the CI ``docs`` job):
 
 1. every relative markdown link in ``README.md`` and ``docs/*.md``
    points at a file that exists (anchors and external URLs are skipped);
@@ -21,7 +21,11 @@ Five checks (all gate the CI ``docs`` job):
    function, class, parameter, or assigned name or attribute, found by
    an AST scan -- so a page cannot describe a symbol the code dropped;
 5. with ``--run-quickstart``, the commands the README advertises respond
-   to ``--help`` (a dry-run proof the documented entry points exist).
+   to ``--help`` (a dry-run proof the documented entry points exist);
+6. every backticked dotted reference into the package
+   (`` `repro.a.b` ``, `` `repro.a.b.c()` ``) in ``README.md`` and
+   ``docs/*.md`` resolves: the longest importable module prefix is
+   imported and the remaining parts are walked with ``getattr``.
 
 Run from the repo root: ``python tools/check_docs.py [--run-quickstart]``.
 Exits non-zero with one ``path: message`` line per problem.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import ast
 import fnmatch
+import importlib
 import os
 import re
 import subprocess
@@ -214,6 +219,57 @@ def check_doc_symbols(pages: list[Path] | None = None) -> list[str]:
     return problems
 
 
+#: Backticked dotted references with at least two parts below the
+#: package, optionally called: `repro.a.b`, `repro.a.b.c(specs)`.
+_DOTTED_REFERENCE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*){2,})(?:\([^`]*\))?`")
+
+
+def resolve_dotted(name: str) -> bool:
+    """Whether ``name`` imports as a module, or as attributes below one.
+
+    Imports the longest module prefix of ``name`` that exists, then
+    walks the remaining parts with ``getattr``.
+    """
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if error.name != module_name and not module_name.startswith(
+                f"{error.name}."
+            ):
+                raise  # an existing module failed to import: not a doc problem
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_dotted_references(pages: list[Path] | None = None) -> list[str]:
+    """Problem messages for dotted ``repro.*`` references that do not resolve.
+
+    ``pages`` defaults to ``README.md`` plus every page under ``docs/``.
+    """
+    if pages is None:
+        pages = doc_pages()
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        problems = []
+        for page in pages:
+            text = page.read_text(encoding="utf-8")
+            shown = page.relative_to(REPO_ROOT) if page.is_relative_to(REPO_ROOT) else page
+            for name in sorted(set(_DOTTED_REFERENCE.findall(text))):
+                if not resolve_dotted(name):
+                    problems.append(f"{shown}: names `{name}`, which does not resolve")
+        return problems
+    finally:
+        sys.path.pop(0)
+
+
 def check_quickstart() -> list[str]:
     """Problem messages for advertised commands that fail ``--help``."""
     env = dict(os.environ)
@@ -242,7 +298,11 @@ def main(argv: list[str] | None = None) -> int:
 
     pages = doc_pages()
     problems = (
-        check_links(pages) + check_docs_reachable() + check_service_api() + check_doc_symbols()
+        check_links(pages)
+        + check_docs_reachable()
+        + check_service_api()
+        + check_doc_symbols()
+        + check_dotted_references(pages)
     )
     if args.run_quickstart:
         problems += check_quickstart()
