@@ -221,11 +221,7 @@ def check_cost_option_ordering(
     assert _timing(on_demand) == _timing(spot) == _timing(reserved), (
         "schedules differ between purchase options"
     )
-    cpu_minutes = sum(
-        interval.cpu_minutes
-        for record in on_demand.records
-        for interval in record.usage
-    )
+    cpu_minutes = sum(on_demand.cpu_minutes_by_option().values())
     pricing = on_demand.pricing
     reserved_rate_cost = pricing.reserved_hourly * cpu_minutes / MINUTES_PER_HOUR
     tolerance = 1e-9 * max(1.0, on_demand.metered_cost)

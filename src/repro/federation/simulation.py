@@ -100,7 +100,7 @@ class FederatedResult:
 
     @property
     def total_jobs(self) -> int:
-        return sum(len(result.records) for result in self.per_region.values())
+        return sum(result.total_jobs for result in self.per_region.values())
 
     def summary(self) -> dict[str, float | str]:
         return {

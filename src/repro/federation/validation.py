@@ -39,7 +39,7 @@ def verify_federated_result(
     problems: list[str] = []
     region_carbon = sum(r.total_carbon_kg for r in result.per_region.values())
     region_cost = sum(r.total_cost for r in result.per_region.values())
-    region_jobs = sum(len(r.records) for r in result.per_region.values())
+    region_jobs = sum(r.total_jobs for r in result.per_region.values())
     for label, total, summed in (
         ("carbon", result.total_carbon_kg, region_carbon),
         ("cost", result.total_cost, region_cost),
@@ -62,10 +62,10 @@ def verify_federated_result(
         executed = result.per_region.get(name)
         if count > 0 and executed is None:
             problems.append(f"region {name}: {count} placements but no result")
-        if executed is not None and count != len(executed.records):
+        if executed is not None and count != executed.total_jobs:
             problems.append(
                 f"region {name}: {count} placements != "
-                f"{len(executed.records)} executed records"
+                f"{executed.total_jobs} executed records"
             )
     for name in result.per_region:
         if name not in result.placements:

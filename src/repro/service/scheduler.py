@@ -338,7 +338,7 @@ class SchedulerService:
                 self.tracer.emit(
                     ServiceDrained(
                         time=session.now,
-                        jobs=len(result.records),
+                        jobs=result.total_jobs,
                         carbon_g=result.total_carbon_g,
                         cost_usd=result.total_cost,
                         digest=result.digest(),
@@ -351,7 +351,7 @@ class SchedulerService:
         assert self._result is not None and self._session is not None
         return {
             "now": self._session.now,
-            "jobs": len(self._result.records),
+            "jobs": self._result.total_jobs,
             "digest": self._result.digest(),
             "summary": self._result.summary(),
         }

@@ -55,7 +55,7 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.base import Decision, Policy, SchedulingContext, validate_decision
-from repro.simulator.results import JobRecord, SimulationResult, UsageInterval
+from repro.simulator.results import _OPTION_CODES, _OPTIONS, SimulationResult, UsageInterval
 from repro.units import MINUTES_PER_HOUR
 from repro.workload.job import Job, QueueSet
 from repro.workload.trace import WorkloadTrace
@@ -65,10 +65,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["Engine"]
 
+#: Usage intervals as columns in run order: the per-run interval count,
+#: then each interval's start, end, cpus and purchase-option code.
+_Intervals = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_INTERVAL_COLUMNS = ("usage_count", "usage_start", "usage_end", "usage_cpus", "usage_option")
 #: Per-interval carbon, energy, metered cost and boot-overhead carbon.
 _IntervalValues = tuple[list[float], list[float], list[float], list[float]]
-#: One run's (carbon_g, energy_kwh, usage_cost, provisioning_cpu_minutes).
-_RunTotals = tuple[float, float, float, float]
+#: Per-run totals, as columns in this order.
+_RunTotals = tuple[list[float], list[float], list[float], list[float]]
+_RUN_TOTALS = ("carbon_g", "energy_kwh", "usage_cost", "provisioning_cpu_minutes")
 
 
 class _EventKind(IntEnum):
@@ -209,6 +214,7 @@ class Engine:
         self._pending: list[_RunState] = []  # reserved-pickup jobs, arrival order
         self._runs: list[_RunState] = []
         self._finished: list[_RunState] = []  # finish order (event loop only)
+        self._linear_starts: np.ndarray | None = None  # set by _run_linear
         self._opened = False
 
     # ------------------------------------------------------------------
@@ -371,31 +377,20 @@ class Engine:
 
         Replays exactly what the event loop would do for independent
         jobs -- arrival, on-demand start at ``decision.start_time``, one
-        usage interval, finish ``length`` minutes later -- directly into
-        run states, in workload (= arrival processing) order.  Runs skip
-        :meth:`_finalize`, so the finish-ordered ``_finished`` list stays
+        usage interval, finish ``length`` minutes later -- as one start
+        column in workload (= arrival processing) order, from which
+        :meth:`_build_result` derives the finish and interval columns.
+        No run states are made, so ``_runs`` and ``_finished`` stay
         empty: only ``run()`` takes this path, and it never hands its
         session to a caller.
         """
         memo = self._decision_memo
-        runs = self._runs
-        interval = UsageInterval._from_validated  # end - start == length > 0
-        on_demand = PurchaseOption.ON_DEMAND
-        for job in self.workload.jobs:
-            decision = memo[(job.arrival, job.queue, job.cpus, job.length)]
-            start = decision.start_time
-            finish = start + job.length
-            runs.append(
-                _RunState(
-                    job=job,
-                    decision=decision,
-                    started=True,
-                    finished=True,
-                    first_start=start,
-                    finish=finish,
-                    usage=[interval(start, finish, job.cpus, on_demand)],
-                )
-            )
+        jobs = self.workload.jobs
+        self._linear_starts = np.fromiter(
+            (memo[(job.arrival, job.queue, job.cpus, job.length)].start_time for job in jobs),
+            np.int64,
+            count=len(jobs),
+        )
 
     # ------------------------------------------------------------------
     # Handlers
@@ -682,34 +677,34 @@ class Engine:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def account(self, runs: Sequence[_RunState]) -> tuple[_IntervalValues, Iterator[_RunTotals]]:
-        """The accounting kernel: per-interval values and per-run totals.
+    def account(
+        self, runs: Sequence[_RunState]
+    ) -> tuple[_IntervalValues, Iterator[tuple[float, float, float, float]]]:
+        """The accounting kernel over run states: interval values, run totals.
+
+        Flattens the runs' usage into interval columns, then values and
+        folds them as result assembly does (which feeds the linear
+        schedule's columns to the same two steps), one ``(carbon_g,
+        energy_kwh, usage_cost, provisioning_cpu_minutes)`` tuple per run.
+        The service's live ledger calls this, so live values equal the
+        records' bit for bit.
+        """
+        intervals = _flatten(runs)
+        values = self._value_intervals(intervals)
+        return values, zip(*self._fold(intervals, values))
+
+    def _value_intervals(self, intervals: _Intervals) -> _IntervalValues:
+        """Carbon, energy, metered cost and boot carbon of every interval.
 
         One :meth:`HourlySeries.integrate_many` call and one numpy
-        expression per quantity value every interval of ``runs``,
-        elementwise-identical to the scalar formulas (so a value does
-        not depend on the rest of the batch).  Single-interval runs --
-        the bulk of any workload -- take their totals straight from
-        those values (``0.0 + v == v`` exactly); the rest go through
-        :meth:`_accumulate`.  Result assembly and the service's live
-        ledger both call this, so live values equal the records' bit
-        for bit.
+        expression per quantity, elementwise-identical to the scalar
+        formulas (so a value does not depend on the rest of the batch).
         """
-        count = sum(len(run.usage) for run in runs)
-        starts = np.empty(count, dtype=np.int64)
-        durations = np.empty(count, dtype=np.int64)
-        cpu_counts = np.empty(count, dtype=np.int64)
-        rates_usd_per_hour = np.empty(count, dtype=np.float64)
-        rate_for = {option: self.pricing.hourly_rate(option) for option in PurchaseOption}
+        _, starts, ends, cpu_counts, codes = intervals
+        durations = ends - starts
+        rate_for = {option: self.pricing.hourly_rate(option) for option in _OPTIONS}
         rate_for[PurchaseOption.RESERVED] = 0.0  # covered by the upfront payment
-        cursor = 0
-        for run in runs:
-            for interval in run.usage:
-                starts[cursor] = interval.start
-                durations[cursor] = interval.end - interval.start
-                cpu_counts[cursor] = interval.cpus
-                rates_usd_per_hour[cursor] = rate_for[interval.option]
-                cursor += 1
+        rates_usd_per_hour = np.array([rate_for[option] for option in _OPTIONS])[codes]
         kw_values = self.energy.active_kw_many(cpu_counts)
         carbon_values_g = self.carbon.integrate_many(starts, durations) * kw_values
         energy_values_kwh = kw_values * durations / MINUTES_PER_HOUR
@@ -721,144 +716,57 @@ class Engine:
         # Every array before any list: converting each array as it is
         # computed interleaves numpy buffers with float objects and raises
         # the process's peak RSS on large sweeps.
-        values = (
+        return (
             carbon_values_g.tolist(),
             energy_values_kwh.tolist(),
             cost_values_usd.tolist(),
             boot_carbon_values_g.tolist(),
         )
-        return values, self._fold(runs, values)
 
-    def _fold(self, runs: Sequence[_RunState], values: _IntervalValues) -> Iterator[_RunTotals]:
-        """Each run's totals, lazily (no per-run list at result-assembly peak)."""
-        carbon, energy, cost, _ = values
+    def _fold(self, intervals: _Intervals, values: _IntervalValues) -> _RunTotals:
+        """Each run's totals, as columns.
+
+        Single-interval runs -- the bulk of any workload -- take their
+        totals straight from the interval values (``0.0 + v == v``
+        exactly).  Runs with several intervals (evictions, suspend-resume
+        plans) or boot overhead accumulate left to right in interval
+        order: that float summation order is part of the digest contract.
+        """
+        counts, _, _, cpu_counts, codes = intervals
+        carbon, energy, cost, boot_carbon = values
         overhead = self.instance_overhead_minutes
+        if not overhead and bool((counts == 1).all()):
+            return carbon, energy, cost, [0.0] * len(counts)
+        reserved = _OPTION_CODES[PurchaseOption.RESERVED]
+        code_list, cpu_list = codes.tolist(), cpu_counts.tolist()
+        totals: _RunTotals = ([], [], [], [])
         offset = 0
-        for run in runs:
-            usage = run.usage
-            if len(usage) == 1 and (not overhead or usage[0].option is PurchaseOption.RESERVED):
-                yield carbon[offset], energy[offset], cost[offset], 0.0
+        for count in counts.tolist():
+            if count == 1 and (not overhead or code_list[offset] == reserved):
+                run = (carbon[offset], energy[offset], cost[offset], 0.0)
             else:
-                yield self._accumulate(run, offset, values)
-            offset += len(usage)
-
-    def _accumulate(self, run: _RunState, offset: int, values: _IntervalValues) -> _RunTotals:
-        """Sequential per-interval accumulation for multi-interval runs.
-
-        Left-to-right float summation is part of the digest contract, so
-        runs with several usage intervals (evictions, suspend-resume
-        plans) keep the exact accumulation order of the original scalar
-        loop; single-interval runs bypass this in :meth:`_fold`.
-        """
-        carbon_values_g, energy_values_kwh, cost_values_usd, boot_carbon_values_g = values
-        job = run.job
-        carbon_g = 0.0
-        energy_kwh = 0.0
-        usage_cost = 0.0
-        provisioning = 0.0
-        for position, interval in enumerate(run.usage):
-            index = offset + position
-            carbon_g += carbon_values_g[index]
-            energy_kwh += energy_values_kwh[index]
-            usage_cost += cost_values_usd[index]
-            if (
-                self.instance_overhead_minutes
-                and interval.option is not PurchaseOption.RESERVED
-            ):
-                # Each elastic allocation boots a fresh instance: the boot
-                # minutes are billed and draw power at the pre-start CI
-                # (paper prototype: "entire instance time, including
-                # initiation and termination").
-                overhead = self.instance_overhead_minutes
-                provisioning += overhead * job.cpus
-                usage_cost += self.pricing.usage_cost(
-                    interval.option, overhead * job.cpus
-                )
-                energy_kwh += self.energy.energy_kwh(job.cpus, overhead)
-                carbon_g += boot_carbon_values_g[index]
-        return carbon_g, energy_kwh, usage_cost, provisioning
-
-    def _records(self, totals: Iterator[_RunTotals]) -> list[JobRecord]:
-        """Assemble every job's record from its :meth:`account` totals.
-
-        Run-on-arrival baselines are computed for all runs in one
-        ``integrate_many * active_kw_many`` expression (elementwise the
-        same float ops as the scalar ``interval_carbon(a, e) *
-        active_kw(c)``, so bit-identical).
-        """
-        runs = self._runs
-        num_runs = len(runs)
-        arrivals = np.fromiter((run.job.arrival for run in runs), np.int64, count=num_runs)
-        lengths = np.fromiter((run.job.length for run in runs), np.int64, count=num_runs)
-        cpu_counts = np.fromiter((run.job.cpus for run in runs), np.int64, count=num_runs)
-        ends = np.minimum(arrivals + lengths, self.carbon.horizon_minutes)
-        baselines = (
-            self.carbon.integrate_many(arrivals, ends - arrivals)
-            * self.energy.active_kw_many(cpu_counts)
-        ).tolist()
-        # The record invariants (started at/after arrival, finished no
-        # earlier than start + length) are checked vectorized across all
-        # runs; when they hold -- always, short of an engine bug -- the
-        # per-record assembly skips ``JobRecord.__init__``.  When one
-        # fails, the validating constructor raises the exact per-job
-        # error the scalar path always raised.
-        first_starts = np.fromiter(
-            (
-                run.first_start if run.first_start is not None else run.job.arrival
-                for run in runs
-            ),
-            np.int64,
-            count=num_runs,
-        )
-        finishes = np.fromiter(
-            (
-                run.finish
-                if run.finish is not None
-                else run.job.arrival + run.job.length
-                for run in runs
-            ),
-            np.int64,
-            count=num_runs,
-        )
-        invariants_hold = not bool(
-            (first_starts < arrivals).any() or (finishes < first_starts + lengths).any()
-        )
-        # Waiting minutes (finish - arrival - length) for the metrics
-        # histogram, computed here where the arrays already exist; the
-        # values are exact small integers, so int64 -> float64 is exact.
-        self._waiting_minutes = (finishes - arrivals - lengths).astype(np.float64).tolist()
-        fast_record = JobRecord._from_validated
-        records = []
-        for position, (run, (carbon_g, energy_kwh, usage_cost, provisioning)) in enumerate(
-            zip(runs, totals)
-        ):
-            job = run.job
-            fields = {
-                "job_id": job.job_id,
-                "queue": job.queue,
-                "arrival": job.arrival,
-                "length": job.length,
-                "cpus": job.cpus,
-                "first_start": (
-                    run.first_start if run.first_start is not None else job.arrival
-                ),
-                "finish": (
-                    run.finish if run.finish is not None else job.arrival + job.length
-                ),
-                "carbon_g": carbon_g,
-                "energy_kwh": energy_kwh,
-                "usage_cost": usage_cost,
-                "baseline_carbon_g": baselines[position],
-                "usage": tuple(run.usage),
-                "evictions": run.evictions,
-                "lost_cpu_minutes": run.lost_cpu_minutes,
-                "checkpoint_overhead_minutes": run.checkpoint_overhead_minutes,
-                "provisioning_cpu_minutes": provisioning,
-            }
-            records.append(
-                fast_record(fields) if invariants_hold else JobRecord(**fields)
-            )
-        return records
+                carbon_g = energy_kwh = usage_cost = provisioning = 0.0
+                for index in range(offset, offset + count):
+                    carbon_g += carbon[index]
+                    energy_kwh += energy[index]
+                    usage_cost += cost[index]
+                    if overhead and code_list[index] != reserved:
+                        # Each elastic allocation boots a fresh instance: the
+                        # boot minutes are billed and draw power at the
+                        # pre-start CI (paper prototype: "entire instance
+                        # time, including initiation and termination").  An
+                        # interval spans all of its job's CPUs.
+                        boot_cpu_minutes = overhead * cpu_list[index]
+                        provisioning += boot_cpu_minutes
+                        option = _OPTIONS[code_list[index]]
+                        usage_cost += self.pricing.usage_cost(option, boot_cpu_minutes)
+                        energy_kwh += self.energy.energy_kwh(cpu_list[index], overhead)
+                        carbon_g += boot_carbon[index]
+                run = (carbon_g, energy_kwh, usage_cost, provisioning)
+            for column, value in zip(totals, run):
+                column.append(value)
+            offset += count
+        return totals
 
     def _audit_finite(self, values: tuple[list[float], ...]) -> None:
         """Reject non-finite accounting before it reaches a result.
@@ -877,24 +785,67 @@ class Engine:
                 )
 
     def _build_result(self) -> SimulationResult:
-        values, totals = self.account(self._runs)
+        """Value every interval and assemble the result's columns.
+
+        The linear schedule supplies its start column; the event loop's
+        run states are flattened.  Run-on-arrival baselines are computed
+        for all jobs in one ``integrate_many * active_kw_many``
+        expression (elementwise the same float ops as the scalar
+        ``interval_carbon(a, e) * active_kw(c)``, so bit-identical).
+        """
+        runs = self._runs
+        starts = self._linear_starts
+        jobs = self.workload.jobs if starts is not None else [run.job for run in runs]
+        count = len(jobs)
+        columns: dict = {
+            name: np.fromiter((getattr(job, name) for job in jobs), np.int64, count=count)
+            for name in ("job_id", "arrival", "length", "cpus")
+        }
+        columns["queue"] = [job.queue for job in jobs]
+        if starts is not None:
+            on_demand = _OPTION_CODES[PurchaseOption.ON_DEMAND]
+            intervals = (
+                np.ones(count, np.int64), starts, starts + columns["length"],
+                columns["cpus"], np.full(count, on_demand, np.int8),
+            )
+            zeros = np.zeros(count)
+            columns.update(
+                first_start=starts, finish=intervals[2], evictions=zeros.astype(np.int64),
+                lost_cpu_minutes=zeros, checkpoint_overhead_minutes=zeros,
+            )
+        else:
+            # Every run finished (``_finish_run`` checked): none is None.
+            for name in ("first_start", "finish", "evictions"):
+                column = (getattr(run, name) for run in runs)
+                columns[name] = np.fromiter(column, np.int64, count=count)
+            for name in ("lost_cpu_minutes", "checkpoint_overhead_minutes"):
+                columns[name] = [getattr(run, name) for run in runs]
+            intervals = _flatten(runs)
+        values = self._value_intervals(intervals)
         self._audit_finite(values)
-        records = self._records(totals)
-        if self._tracing:
-            self._trace_interval_accounts(values)
-        metrics = self._metrics_snapshot(records)
-        if self._tracing:
-            self.tracer.emit(MetricsSnapshot(scope="engine", metrics=metrics))
-        return SimulationResult(
+        totals = self._fold(intervals, values)
+        columns.update(zip(_RUN_TOTALS, totals))
+        columns.update(zip(_INTERVAL_COLUMNS, intervals))
+        arrivals = columns["arrival"]
+        ends = np.minimum(arrivals + columns["length"], self.carbon.horizon_minutes)
+        columns["baseline_carbon_g"] = self.carbon.integrate_many(
+            arrivals, ends - arrivals
+        ) * self.energy.active_kw_many(columns["cpus"])
+        result = SimulationResult._from_columns(
+            columns,
             policy_name=self.policy.name,
             workload_name=self.workload.name,
             region=self.carbon.name,
             reserved_cpus=self.pool.capacity,
             horizon=self.workload.horizon,
             pricing=self.pricing,
-            records=tuple(records),
-            metrics=metrics,
         )
+        if self._tracing:
+            self._trace_interval_accounts(values)
+        result.metrics = self._metrics_snapshot(columns)
+        if self._tracing:
+            self.tracer.emit(MetricsSnapshot(scope="engine", metrics=result.metrics))
+        return result
 
     def _trace_interval_accounts(self, values: tuple[list[float], ...]) -> None:
         """Emit one IntervalAccount per usage interval, in record order."""
@@ -916,39 +867,47 @@ class Engine:
                 )
                 index += 1
 
-    def _metrics_snapshot(self, records: list[JobRecord]) -> dict:
+    def _metrics_snapshot(self, columns: dict) -> dict:
         """The engine's metrics registry snapshot for this run.
 
-        Built once per run from state the engine tracks anyway, so
-        collection adds no per-event cost (``docs/observability.md``
-        catalogues the names).
+        Built once per run from the columns :meth:`_build_result`
+        assembled and state the engine tracks anyway, so collection adds
+        no per-event cost (``docs/observability.md`` catalogues the names).
         """
-        # Every run made one decision lookup; a memoizing engine computed
-        # one decision per memo entry, any other engine one per run.
-        runs = len(self._runs)
-        policy_calls = len(self._decision_memo) if self._memoize else runs
+        # Every job made one decision lookup; a memoizing engine computed
+        # one decision per memo entry, any other engine one per job.
+        jobs = len(columns["job_id"])
+        policy_calls = len(self._decision_memo) if self._memoize else jobs
         registry = MetricsRegistry()
-        registry.counter("engine.jobs", float(len(records)))
-        registry.counter(f"policy.decisions.{self.policy.name}", float(runs))
+        registry.counter("engine.jobs", float(jobs))
+        registry.counter(f"policy.decisions.{self.policy.name}", float(jobs))
         registry.counter("engine.policy_calls", float(policy_calls))
-        registry.counter("engine.decision_memo_hits", float(runs - policy_calls))
-        registry.counter(
-            "engine.evictions", float(sum(run.evictions for run in self._runs))
-        )
+        registry.counter("engine.decision_memo_hits", float(jobs - policy_calls))
+        registry.counter("engine.evictions", float(columns["evictions"].sum()))
         registry.counter(
             "engine.spot_attempts", float(sum(run.spot_attempts for run in self._runs))
         )
-        registry.counter(
-            "engine.usage_intervals", float(sum(len(run.usage) for run in self._runs))
-        )
+        registry.counter("engine.usage_intervals", float(len(columns["usage_start"])))
         registry.counter("engine.batched_decisions", float(self._batched_decisions))
         registry.gauge("engine.reserved_cpus", float(self.pool.capacity))
         registry.gauge("engine.decision_memo", float(self._memoize))
-        waiting = getattr(self, "_waiting_minutes", None)
-        if waiting is None:
-            waiting = [float(record.waiting_time) for record in records]
-        registry.histogram_many("engine.job_waiting_minutes", waiting)
+        # Waiting minutes are exact small integers, so int64 -> float64 is exact.
+        waiting = columns["finish"] - columns["arrival"] - columns["length"]
+        registry.histogram_many("engine.job_waiting_minutes", waiting.astype(np.float64).tolist())
         return registry.snapshot()
+
+
+def _flatten(runs: Sequence[_RunState]) -> _Intervals:
+    """The runs' usage intervals as columns, in run order."""
+    usage = [interval for run in runs for interval in run.usage]
+    count = len(usage)
+    return (
+        np.fromiter((len(run.usage) for run in runs), np.int64, count=len(runs)),
+        np.fromiter((interval.start for interval in usage), np.int64, count=count),
+        np.fromiter((interval.end for interval in usage), np.int64, count=count),
+        np.fromiter((interval.cpus for interval in usage), np.int64, count=count),
+        np.fromiter((_OPTION_CODES[interval.option] for interval in usage), np.int8, count=count),
+    )
 
 
 class _SegmentStart:

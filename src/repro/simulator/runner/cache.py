@@ -37,6 +37,7 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+from repro.errors import SimulationError
 from repro.simulator.results import SimulationResult
 
 __all__ = [
@@ -243,11 +244,13 @@ class ResultCache:
             ImportError,
             ValueError,
             IndexError,
+            SimulationError,
         ):
             # A truncated or stale entry is a miss, not an error.  Bad
             # pickle bytes surface as more than UnpicklingError: an
             # unsupported-protocol byte raises ValueError, a truncated
-            # memo reference IndexError.
+            # memo reference IndexError, result columns that disagree in
+            # length SimulationError.
             return None
         return found if isinstance(found, _cacheable_types()) else None
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.carbon.trace import CarbonIntensityTrace
+from repro.simulator.results import SimulationResult
 from repro.simulator.runner.cache import ResultCache
 from repro.simulator.simulation import run_simulation
 from repro.workload.job import Job
@@ -92,6 +93,27 @@ class TestCorruptionIsAMiss:
             assert reader.get("key") is None
         finally:
             path.chmod(0o644)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda columns: columns["carbon_g"].pop(), id="short-record-column"),
+            pytest.param(
+                lambda columns: columns["usage_count"].__setitem__(0, 2),
+                id="counts-disagree-with-intervals",
+            ),
+        ],
+    )
+    def test_columns_that_disagree_in_length(self, tmp_path, shared_result, damage):
+        state = shared_result.__getstate__()
+        columns = {name: column[:] for name, column in state["_columns"].items()}
+        damage(columns)
+        forged = SimulationResult.__new__(SimulationResult)
+        forged.__dict__.update(state, _columns=columns)
+        self._seeded_cache(tmp_path, forged)
+        reader = ResultCache(disk_dir=tmp_path)
+        assert reader.get("key") is None
+        assert reader.misses == 1
 
     def test_miss_then_rewrite_recovers(self, tmp_path, shared_result):
         path = self._seeded_cache(tmp_path, shared_result)

@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.cluster.pricing import DEFAULT_PRICING, PricingModel, PurchaseOption
@@ -140,7 +141,11 @@ class TestSimulationResult:
 
 
 class TestMemoizedTotals:
-    """Record totals are computed once per attached records tuple."""
+    """Totals read the result's columns, once per column set.
+
+    ``records`` is always a tuple; assigning it replaces the columns, so
+    the totals follow the records they were computed from.
+    """
 
     def records(self):
         return [
@@ -152,8 +157,14 @@ class TestMemoizedTotals:
     def test_values_equal_the_unmemoized_sums(self):
         res = result(self.records())
         for _ in range(2):
-            assert res.total_carbon_g == float(sum(r.carbon_g for r in res.records))
-            assert res.metered_cost == float(sum(r.usage_cost for r in res.records))
+            for total, name in (
+                (res.total_carbon_g, "carbon_g"),
+                (res.baseline_carbon_g, "baseline_carbon_g"),
+                (res.total_energy_kwh, "energy_kwh"),
+                (res.metered_cost, "usage_cost"),
+            ):
+                expected = float(sum(getattr(r, name) for r in res.records))
+                assert total.hex() == expected.hex(), name
             assert res.mean_waiting_minutes == (0 + 45 + 7) / 3
 
     def test_reassigning_records_recomputes(self):
@@ -163,18 +174,67 @@ class TestMemoizedTotals:
         assert res.total_carbon_g == 0.1 != before
         assert res.mean_waiting_minutes == 0.0
 
-    def test_a_records_list_is_never_memoized(self):
+    def test_an_assigned_list_is_stored_as_a_tuple(self):
         res = dataclasses.replace(result(self.records()), records=self.records())
+        assert type(res.records) is tuple
         assert res.total_carbon_g == pytest.approx(0.6)
-        res.records.append(record(job_id=3, carbon_g=1.0))
+        res.records = [*res.records, record(job_id=3, carbon_g=1.0)]
+        assert type(res.records) is tuple
         assert res.total_carbon_g == pytest.approx(1.6)
 
     def test_the_memo_is_not_pickled(self):
-        res = result(self.records())
-        fresh = pickle.dumps(res)
-        res.summary()
-        assert pickle.dumps(res) == fresh
-        assert pickle.loads(fresh) == res
+        for res in (result(self.records()), pickle.loads(pickle.dumps(result(self.records())))):
+            fresh = pickle.dumps(res)
+            assert b"JobRecord" not in fresh  # columns only, never the records
+            res.summary()
+            assert res.records and res.digest()
+            assert pickle.dumps(res) == fresh
+            assert pickle.loads(fresh) == res
+
+
+class TestExactColumns:
+    """A hand-built record is stored exactly or rejected, never coerced."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("carbon_g", 10),
+            ("carbon_g", np.float64(10.0)),
+            ("lost_cpu_minutes", 0),
+            ("evictions", True),
+            ("job_id", np.int64(0)),
+            ("job_id", 2**63),
+            ("queue", None),
+        ],
+        ids=[
+            "int-as-float", "np.float64-as-float", "int-as-default-float", "bool-as-int",
+            "np.int64-as-int", "int-beyond-int64", "none-as-queue",
+        ],
+    )
+    def test_a_value_that_does_not_fit_its_column_raises(self, field, value):
+        bad = dataclasses.replace(record(), **{field: value})
+        with pytest.raises(SimulationError, match=field):
+            result([bad])
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            UsageInterval(np.int64(0), 60, 1, PurchaseOption.ON_DEMAND),
+            UsageInterval(0, 60, True, PurchaseOption.ON_DEMAND),
+            UsageInterval(0, 60, 1, "on_demand"),
+        ],
+        ids=["np.int64-start", "bool-cpus", "str-option"],
+    )
+    def test_an_interval_value_that_does_not_fit_raises(self, interval):
+        with pytest.raises(SimulationError, match="usage_"):
+            result([record(usage=(interval,))])
+
+    def test_a_rejected_assignment_leaves_the_result_unchanged(self):
+        res = result([record(carbon_g=2.5)])
+        with pytest.raises(SimulationError):
+            res.records = [record(carbon_g=3)]
+        assert res.total_carbon_g == 2.5
+        assert res.records == (record(carbon_g=2.5),)
 
 
 class TestDemandProfile:
