@@ -211,6 +211,9 @@ class SchedulerService:
         self._rejected = 0
         self._cancelled = 0
         self._result: SimulationResult | None = None
+        # The drained result's digest, hashed once at drain: the event, the
+        # drain payload and every post-drain accounting read carry it.
+        self._digest: str | None = None
         self._ledger = _Ledger()
         self.state = "created"
 
@@ -330,20 +333,20 @@ class SchedulerService:
                 "pending_events": session.pending_events,
             }
         if command.kind == "drain":
-            already_drained = self._result is not None
-            result = session.drain()
-            self._result = result
-            self.state = "drained"
-            if not already_drained:
+            if self._result is None:
+                result = session.drain()
+                self._result = result
+                self._digest = result.digest()
                 self.tracer.emit(
                     ServiceDrained(
                         time=session.now,
                         jobs=result.total_jobs,
                         carbon_g=result.total_carbon_g,
                         cost_usd=result.total_cost,
-                        digest=result.digest(),
+                        digest=self._digest,
                     )
                 )
+            self.state = "drained"
             return self._drain_payload()
         raise AdmissionError("bad_command", f"unknown command {command.kind!r}", 500)
 
@@ -352,7 +355,7 @@ class SchedulerService:
         return {
             "now": self._session.now,
             "jobs": self._result.total_jobs,
-            "digest": self._result.digest(),
+            "digest": self._digest,
             "summary": self._result.summary(),
         }
 
@@ -672,7 +675,7 @@ class SchedulerService:
             "jobs": [self._ledger.row(index, detail) for index in selected[:limit]],
         }
         if self._result is not None:
-            payload["digest"] = self._result.digest()
+            payload["digest"] = self._digest
         return payload
 
     def metrics(self) -> dict[str, Any]:

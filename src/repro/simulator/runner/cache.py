@@ -22,6 +22,15 @@ simulations it re-plots.  If certification fails for any reason the
 salt falls back to byte-hashing the packages in ``_SALTED_PACKAGES``,
 which can only over-evict, never serve stale results.
 
+The analysis takes about a second, so its salt is memoized per source
+tree in ``<repro root>/__pycache__/certified-salt.json``, keyed by a
+SHA-256 of ``sys.version``, every ``*.py`` file the analysis parses
+(the analyzer's own sources included) and, in a process that imported
+the analyzer, its digest entry patterns.  A process whose key matches
+reads the salt in a few milliseconds without importing the analyzer;
+any other memo state -- missing, garbled, another key, unwritable --
+runs the analysis, so the memo can cost time but never correctness.
+
 The in-memory layer is always on; the on-disk layer is opt-in via
 ``$REPRO_CACHE_DIR`` (explicit directory) or ``$REPRO_DISK_CACHE=1``
 (default ``~/.cache/repro``).  ``$REPRO_NO_CACHE=1`` disables caching in
@@ -31,8 +40,11 @@ The in-memory layer is always on; the on-disk layer is opt-in via
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
+import re
+import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -79,12 +91,87 @@ def _is_salt_excluded(module: str) -> bool:
     )
 
 
+#: The certified-salt memo, one file in the ``repro`` root's bytecode
+#: directory: derived from the tree like a ``.pyc``, and removed with it.
+_SALT_MEMO = Path("__pycache__") / "certified-salt.json"
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+
+
 def _certified_salt(root: Path) -> str:
+    """The certified salt of ``root``, served from its on-disk memo.
+
+    The memo is keyed by :func:`_salt_memo_key`, the exact inputs of
+    the analysis, so only the first process after an edit runs
+    :func:`_analyzed_salt`.  A missing, unreadable, garbled or
+    mismatched memo is a miss; a failed write is ignored, and a tree
+    edited while the analysis ran is not memoized.  Raises whatever
+    the analysis raises -- the caller falls back to
+    :func:`_fallback_salt`, whose salt is never memoized.
+    """
+    patterns = _registered_entry_patterns()
+    key = _salt_memo_key(root, patterns)
+    memo = root / _SALT_MEMO
+    try:
+        found = json.loads(memo.read_bytes())
+    except (OSError, ValueError):
+        found = None
+    if isinstance(found, dict) and found.get("key") == key:
+        salt = found.get("salt")
+        if isinstance(salt, str) and _SHA256_HEX.fullmatch(salt):
+            return salt
+    salt = _analyzed_salt(root)
+    if _salt_memo_key(root, patterns) != key:
+        return salt  # the tree changed under the analysis: memoize nothing
+    staging_path = None
+    try:
+        memo.parent.mkdir(exist_ok=True)
+        handle, staging_path = tempfile.mkstemp(dir=memo.parent, suffix=".tmp")
+        with os.fdopen(handle, "w") as stream:
+            json.dump({"key": key, "salt": salt}, stream)
+        os.replace(staging_path, memo)
+    except OSError:
+        # Unwritable tree: the next process analyzes again, nothing worse.
+        if staging_path is not None and os.path.exists(staging_path):
+            os.unlink(staging_path)
+    return salt
+
+
+def _salt_memo_key(root: Path, patterns: str) -> str:
+    """SHA-256 over everything :func:`_analyzed_salt` reads.
+
+    That is the interpreter version (``ast`` output may differ between
+    releases), the digest entry patterns this process registered, and
+    the root-relative path and bytes of every ``*.py`` file
+    ``ProjectContext.from_root`` parses -- the analyzer's own
+    ``repro.lint`` sources included, since they decide its output.
+    """
+    hasher = hashlib.sha256(f"{sys.version}\0{patterns}".encode())
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if "__pycache__" in relative.parts:
+            continue
+        source = path.read_bytes()
+        hasher.update(f"\0{relative.as_posix()}\0{len(source)}\0".encode())
+        hasher.update(source)
+    return hasher.hexdigest()
+
+
+def _registered_entry_patterns() -> str:
+    """The digest entry patterns, if this process imported the analyzer.
+
+    ``register_entry_pattern`` widens what the analysis certifies, and
+    only a process that imported the analyzer can have called it; any
+    other process runs it on the patterns its source files define.
+    """
+    module = sys.modules.get("repro.lint.analysis.entrypoints")
+    return "" if module is None else repr(module.DIGEST_ENTRY_PATTERNS)
+
+
+def _analyzed_salt(root: Path) -> str:
     """AST-normalized fingerprint of the certified reachable file set.
 
     ``root`` is the installed ``repro`` package directory.  Raises on
-    any certification problem (unparseable tree, no entry points) --
-    the caller falls back to :func:`_fallback_salt`.
+    any certification problem (unparseable tree, no entry points).
     """
     from repro.lint.analysis.certify import certified_files
     from repro.lint.analysis.fingerprint import fingerprint_files
@@ -124,9 +211,11 @@ def code_version_salt() -> str:
     """Fingerprint of the simulation-affecting ``repro`` source files.
 
     The certified salt (see module docstring) when the analysis
-    succeeds, the package byte-hash otherwise.  Cached per process:
-    source files do not change under a running simulation, and the
-    one-time analysis costs well under a second.
+    succeeds, the package byte-hash otherwise.  Cached per process,
+    since source files do not change under a running simulation, and
+    memoized per source tree on disk: the first process after an edit
+    runs the analysis (about a second), later ones hash the tree and
+    read the memo (a few milliseconds).
     """
     import repro
 

@@ -14,8 +14,10 @@ import asyncio
 import pytest
 
 from repro.difftest.scenarios import scenario_spec
+from repro.obs.tracer import CollectingTracer
 from repro.service import SchedulerService, ServiceClient, ServiceConfig, ServiceServer
 from repro.simulator import build_engine
+from repro.simulator.results import SimulationResult
 from repro.workload.synthetic import poisson_exponential
 from repro.workload.trace import WorkloadTrace
 
@@ -133,3 +135,46 @@ class TestHttpEndToEndParity:
             assert row["carbon_g"] == record.carbon_g
             assert row["energy_kwh"] == record.energy_kwh
             assert row["cost_usd"] == record.usage_cost
+
+    def test_drain_hashes_the_result_once(self, monkeypatch):
+        # The drain event, the drain payload and post-drain accounting
+        # reads all carry one digest, computed once when the result is
+        # stored.
+        config = _parity_config("carbon-time", 6)
+        trace = _parity_trace(config, 6)
+        tracer = CollectingTracer()
+        calls = []
+        digest = SimulationResult.digest
+
+        def counted(result):
+            calls.append(result)
+            return digest(result)
+
+        monkeypatch.setattr(SimulationResult, "digest", counted)
+
+        async def scenario():
+            service = SchedulerService(config, tracer=tracer)
+            await service.start()
+            try:
+                for job in trace.jobs:
+                    await service.submit(
+                        length=job.length,
+                        cpus=job.cpus,
+                        arrival=job.arrival,
+                        job_id=job.job_id,
+                    )
+                payload = await service.drain()
+                again = await service.drain()
+                reads = [service.accounting(limit=1) for _ in range(3)]
+                return payload, again, reads
+            finally:
+                await service.stop()
+
+        payload, again, reads = asyncio.run(scenario())
+        assert len(calls) == 1
+        monkeypatch.undo()
+        batch = config.engine(trace).run().digest()
+        (event,) = tracer.by_type("service.drained")
+        assert event.digest == payload["digest"] == batch
+        assert again["digest"] == batch
+        assert all(read["digest"] == batch for read in reads)

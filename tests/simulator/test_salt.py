@@ -10,14 +10,22 @@ guards against).
 from __future__ import annotations
 
 import ast
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro
+import repro.lint.analysis.certify as certify
+import repro.lint.analysis.entrypoints as entrypoints
 from repro.simulator.runner.cache import (
+    _SALT_MEMO,
     _SALTED_PACKAGES,
+    _analyzed_salt,
     _certified_salt,
     _fallback_salt,
     code_version_salt,
@@ -212,3 +220,152 @@ class TestCertifiedSalt:
             assert code_version_salt() == _certified_salt(REPRO_ROOT)
         finally:
             code_version_salt.cache_clear()
+
+
+def _copy_tree(parent: Path) -> Path:
+    """A copy of the installed ``repro`` tree at ``parent/repro``, no bytecode."""
+    destination = parent / "repro"
+    shutil.copytree(REPRO_ROOT, destination, ignore=shutil.ignore_patterns("__pycache__"))
+    return destination
+
+
+class _AnalysisRan(Exception):
+    pass
+
+
+def _refuse_analysis(monkeypatch) -> None:
+    """Make any run of the analysis raise: a call that returns was a memo hit."""
+
+    def refuse(*args, **kwargs):
+        raise _AnalysisRan
+
+    monkeypatch.setattr(certify, "certified_files", refuse)
+
+
+@pytest.fixture(scope="module")
+def warm_memo(tmp_path_factory) -> tuple[str, bytes]:
+    """The certified salt of a fresh copy, and the memo its first call wrote."""
+    root = _copy_tree(tmp_path_factory.mktemp("memo"))
+    salt = _certified_salt(root)
+    return salt, (root / _SALT_MEMO).read_bytes()
+
+
+@pytest.fixture
+def warm_tree(tmp_path: Path, warm_memo: tuple[str, bytes]) -> Path:
+    """A private copy of the tree whose memo is already written."""
+    root = _copy_tree(tmp_path)
+    (root / _SALT_MEMO).parent.mkdir()
+    (root / _SALT_MEMO).write_bytes(warm_memo[1])
+    return root
+
+
+class TestSaltMemo:
+    """The certified salt is analyzed once per source tree, then read from disk.
+
+    Each test proves a hit or a miss by making the analysis raise: a hit
+    returns, a miss propagates the error.
+    """
+
+    def test_a_second_call_hits_the_memo(self, warm_tree, warm_memo, monkeypatch):
+        _refuse_analysis(monkeypatch)
+        assert _certified_salt(warm_tree) == warm_memo[0]
+
+    def test_the_memo_holds_the_analyzed_salt(self, warm_memo):
+        assert warm_memo[0] == _analyzed_salt(REPRO_ROOT) == code_version_salt()
+        assert json.loads(warm_memo[1])["salt"] == warm_memo[0]
+
+    def test_a_semantic_edit_misses_the_memo(self, warm_tree, monkeypatch):
+        _edit(warm_tree, "simulator/engine.py", "\n_SALT_PROBE = 1\n")
+        _refuse_analysis(monkeypatch)
+        with pytest.raises(_AnalysisRan):
+            _certified_salt(warm_tree)
+
+    def test_a_comment_only_edit_misses_but_keeps_the_salt(
+        self, warm_tree, warm_memo, monkeypatch
+    ):
+        _edit(warm_tree, "simulator/engine.py", "\n# a trailing comment\n")
+        _refuse_analysis(monkeypatch)
+        with pytest.raises(_AnalysisRan):
+            _certified_salt(warm_tree)
+        monkeypatch.undo()
+        assert _certified_salt(warm_tree) == warm_memo[0]
+        # The memo was overwritten in place: still one file.
+        assert [path.name for path in (warm_tree / "__pycache__").iterdir()] == [
+            _SALT_MEMO.name
+        ]
+        assert (warm_tree / _SALT_MEMO).read_bytes() != warm_memo[1]
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "bad-salt"])
+    def test_a_damaged_memo_is_recomputed_and_rewritten(
+        self, warm_tree, warm_memo, monkeypatch, damage
+    ):
+        memo = warm_tree / _SALT_MEMO
+        if damage == "garbage":
+            memo.write_bytes(b"\x00\xffnot json at all")
+        elif damage == "truncated":
+            memo.write_bytes(warm_memo[1][: len(warm_memo[1]) // 2])
+        else:
+            fields = json.loads(warm_memo[1])
+            memo.write_text(json.dumps({**fields, "salt": fields["salt"][:63]}))
+        _refuse_analysis(monkeypatch)
+        with pytest.raises(_AnalysisRan):
+            _certified_salt(warm_tree)
+        monkeypatch.undo()
+        assert _certified_salt(warm_tree) == warm_memo[0]
+        assert memo.read_bytes() == warm_memo[1]
+
+    def test_a_failed_write_still_returns_the_salt(self, tmp_path, warm_memo, monkeypatch):
+        root = _copy_tree(tmp_path)
+
+        def refuse_replace(source, destination):
+            raise PermissionError("read-only tree")
+
+        monkeypatch.setattr(os, "replace", refuse_replace)
+        assert _certified_salt(root) == warm_memo[0]
+        # The staging file is cleaned up and no memo is left behind.
+        assert list((root / "__pycache__").iterdir()) == []
+
+    def test_a_memo_from_another_python_is_not_served(self, warm_tree, monkeypatch):
+        monkeypatch.setattr(sys, "version", sys.version + " [another build]")
+        _refuse_analysis(monkeypatch)
+        with pytest.raises(_AnalysisRan):
+            _certified_salt(warm_tree)
+
+    def test_a_registered_entry_pattern_misses_the_memo(self, warm_tree, monkeypatch):
+        # Registration widens the certified set, so a salt analyzed
+        # without it must not be served to this process.
+        patterns = [*entrypoints.DIGEST_ENTRY_PATTERNS, "*.AnotherEngine.run"]
+        monkeypatch.setattr(entrypoints, "DIGEST_ENTRY_PATTERNS", patterns)
+        _refuse_analysis(monkeypatch)
+        with pytest.raises(_AnalysisRan):
+            _certified_salt(warm_tree)
+
+    def test_a_fresh_interpreter_reads_the_memo_without_the_analyzer(
+        self, tmp_path, warm_memo
+    ):
+        _copy_tree(tmp_path)
+        probe = (
+            "import json, sys\n"
+            "import repro\n"
+            "from repro.simulator.runner import code_version_salt\n"
+            "print(json.dumps({'file': repro.__file__, 'salt': code_version_salt(),"
+            " 'analyzed': 'repro.lint.analysis' in sys.modules}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+        def run() -> dict:
+            completed = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=env,
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return json.loads(completed.stdout)
+
+        first, second = run(), run()
+        assert Path(first["file"]).parent == tmp_path / "repro"
+        assert first["salt"] == second["salt"] == warm_memo[0]
+        assert first["analyzed"] is True
+        assert second["analyzed"] is False
